@@ -22,7 +22,7 @@ from .asm import Program
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .latches import CONSUMER_STAGE
 from .machine import TRAP_CAUSES
-from .pipeline import Pipeline, run_pipeline
+from .pipeline import Pipeline, PipelineRun, run_pipeline
 from .timing import TimingModel
 
 HANG_FACTOR = 4
@@ -86,6 +86,9 @@ class CampaignPlan:
 
     def offset(self, idx: int) -> float:
         return self.offset_lo + idx * self.offset_step
+
+    def index(self, cycle: int, k: int) -> int:
+        return (cycle - self.cycle_lo) * self.offset_count + k
 
     @property
     def cycles(self) -> range:
@@ -240,16 +243,86 @@ def classify_outcome(golden: GoldenBaseline, *, status: str,
 
 
 def _no_effect_record(plan: CampaignPlan, golden: GoldenBaseline,
-                      index: int, cycle: int, k: int) -> OutcomeRecord:
-    return OutcomeRecord(index, cycle, k, plan.offset(k),
+                      cycle: int, k: int) -> OutcomeRecord:
+    return OutcomeRecord(plan.index(cycle, k), cycle, k, plan.offset(k),
                          NO_EFFECT, NO_EFFECT, (), (), "", "", None, False,
                          golden.cycles, golden.halt_cause, golden.exit_code,
                          golden.output, None)
 
 
+@dataclass(frozen=True, slots=True)
+class _Tail:
+    """A run from some cycle on: how it ended, the pcs it retired and the
+    mechanism kinds it raised from that cycle, and its final state."""
+
+    status: str
+    cycles: int
+    pcs: tuple[int, ...]
+    mechanisms: frozenset
+    output: tuple[int, ...]
+    regs: tuple[int, ...]
+    mem: tuple[tuple[int, int], ...]  # sorted nonzero words
+    halt_cause: str | None
+    exit_code: int | None
+
+
+def _tail(run: PipelineRun, n_retires: int = 0,
+          n_mechanisms: int = 0) -> _Tail:
+    arch = run.arch
+    return _Tail(run.status, run.cycles,
+                 tuple(e.pc for e in run.retires[n_retires:]),
+                 frozenset(m.kind for m in run.mechanisms[n_mechanisms:]),
+                 tuple(arch.output_log), tuple(arch.regs),
+                 tuple(sorted((a, v) for a, v in arch.mem.items() if v)),
+                 arch.halt_cause, arch.exit_code)
+
+
+def _record(plan: CampaignPlan, golden: GoldenBaseline, cycle: int, k: int,
+            changed: list, pcs: tuple[int, ...], mechanisms: set,
+            tail: _Tail) -> OutcomeRecord:
+    """Classify grid point (cycle, k) from the retires and mechanisms that
+    precede `tail`, and `tail` itself."""
+
+    pcs += tail.pcs
+    mechanisms = tuple(sorted(mechanisms | tail.mechanisms))
+    outcome, effect, misclassified = classify_outcome(
+        golden, status=tail.status, pcs=pcs, output=tail.output,
+        regs=tail.regs, mem=tail.mem, halt_cause=tail.halt_cause,
+        exit_code=tail.exit_code, mechanisms=mechanisms)
+    divergence = None
+    if effect != NO_EFFECT or outcome != NO_EFFECT:
+        divergence = first_divergence(golden.pcs, pcs, changed)
+    root = changed[0] if changed else None
+    return OutcomeRecord(
+        plan.index(cycle, k), cycle, k, plan.offset(k), outcome, effect,
+        mechanisms,
+        tuple(dict.fromkeys(f"{e.latch}.{e.field}" for e in changed)),
+        f"{root.latch}.{root.field}" if root else "",
+        (root.iclass or "") if root else "",
+        root.pc if root else None,
+        misclassified, tail.cycles, tail.halt_cause, tail.exit_code,
+        tail.output, divergence)
+
+
+def from_reset_record(plan: CampaignPlan, golden: GoldenBaseline,
+                      cycle: int, k: int) -> tuple[OutcomeRecord, PipelineRun]:
+    """Grid point (cycle, k) the plain way: (record, from-reset run).
+
+    No fork, no skipped continuation, no memo: the path every campaign
+    record must match exactly.
+    """
+
+    spec = GlitchSpec(cycle, plan.offset(k), plan.policy, plan.illegal_policy)
+    run = run_pipeline(plan.program, timing=plan.timing, glitches=[spec],
+                       max_cycles=golden.cycles * plan.hang_factor)
+    changed = [e for e in run.corruptions if e.changed]
+    return _record(plan, golden, cycle, k, changed, (), set(),
+                   _tail(run)), run
+
+
 def _probe(plan: CampaignPlan, golden: GoldenBaseline, baseline: Pipeline,
-           base_pcs: list[int], cycle: int, k: int, budget: int) -> OutcomeRecord:
-    index = (cycle - plan.cycle_lo) * plan.offset_count + k
+           base_pcs: tuple[int, ...], cycle: int, k: int, budget: int,
+           memo: dict) -> OutcomeRecord:
     fork = baseline.fork()
     fork.schedule(GlitchSpec(cycle, plan.offset(k),
                              plan.policy, plan.illegal_policy))
@@ -258,30 +331,19 @@ def _probe(plan: CampaignPlan, golden: GoldenBaseline, baseline: Pipeline,
     if not changed:
         # the shortened cycle met timing everywhere that mattered; the
         # continuation is bit-identical to the clean run, skip simulating it
-        return _no_effect_record(plan, golden, index, cycle, k)
+        return _no_effect_record(plan, golden, cycle, k)
 
-    fork.run(budget)
-    res = fork.result()
-    arch = res.arch
-    pcs = tuple(base_pcs) + tuple(e.pc for e in res.retires)
-    output = tuple(arch.output_log)
-    regs = tuple(arch.regs)
-    mem = tuple(sorted((a, v) for a, v in arch.mem.items() if v))
-    mechanisms = tuple(sorted({m.kind for m in res.mechanisms}))
-    outcome, effect, misclassified = classify_outcome(
-        golden, status=res.status, pcs=pcs, output=output, regs=regs,
-        mem=mem, halt_cause=arch.halt_cause, exit_code=arch.exit_code,
-        mechanisms=mechanisms)
-    root = changed[0]
-    divergence = None
-    if effect != NO_EFFECT or outcome != NO_EFFECT:
-        divergence = first_divergence(golden.pcs, pcs, changed)
-    return OutcomeRecord(
-        index, cycle, k, plan.offset(k), outcome, effect, mechanisms,
-        tuple(dict.fromkeys(f"{e.latch}.{e.field}" for e in changed)),
-        f"{root.latch}.{root.field}", root.iclass or "", root.pc,
-        misclassified, res.cycles, arch.halt_cause, arch.exit_code,
-        output, divergence)
+    # the continuation depends only on the post-glitch state: simulate each
+    # distinct state once and splice it onto this point's own prefix
+    pcs = base_pcs + tuple(e.pc for e in fork.retires)
+    mechanisms = {m.kind for m in fork.mechanisms}
+    key = fork.state_key()
+    tail = memo.get(key)
+    if tail is None:
+        n_retires, n_mechanisms = len(fork.retires), len(fork.mechanisms)
+        fork.run(budget)
+        tail = memo[key] = _tail(fork.result(), n_retires, n_mechanisms)
+    return _record(plan, golden, cycle, k, changed, pcs, mechanisms, tail)
 
 
 def _simulate_cycles(plan: CampaignPlan, golden: GoldenBaseline,
@@ -295,10 +357,13 @@ def _simulate_cycles(plan: CampaignPlan, golden: GoldenBaseline,
         while baseline.cycle < cycle and not baseline.arch.halted:
             if not baseline.clock():
                 break
-        base_pcs = [e.pc for e in baseline.retires]
+        base_pcs = tuple(e.pc for e in baseline.retires)
+        # continuations by post-glitch state key; the hang budget is an
+        # absolute cycle, so no entry may outlive its glitch cycle
+        memo: dict = {}
         for k in range(plan.offset_count):
             records.append(_probe(plan, golden, baseline, base_pcs,
-                                  cycle, k, budget))
+                                  cycle, k, budget, memo))
     return records
 
 
@@ -386,16 +451,14 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     """One glitch, fully classified: (record, faulty run, golden baseline).
 
     The returned run is a from-reset simulation carrying the complete
-    corruption and mechanism logs for display.
+    corruption and mechanism logs for display; the record classifies it.
     """
 
     golden = golden_baseline(program, max_cycles=max_cycles)
     plan = CampaignPlan(program, timing, spec.cycle, spec.cycle + 1,
                         spec.offset_ns, 1.0, 1, spec.policy,
                         spec.illegal_policy, hang_factor, label="inject")
-    record = run_campaign(plan, golden).records[0]
-    full = run_pipeline(program, timing=timing, glitches=[spec],
-                        max_cycles=golden.cycles * hang_factor)
+    record, full = from_reset_record(plan, golden, spec.cycle, 0)
     return record, full, golden
 
 

@@ -289,6 +289,8 @@ def cmd_inject(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
     timing = _resolve_timing(args)
     prog, label = _load_program(args)
     cycles = _int_range(args.cycles) if args.cycles else None
@@ -430,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offsets in ns, default a coarse whole-period scan")
     p.add_argument("--policy", default="stale_bits")
     p.add_argument("--illegal-policy", default="nop_replace")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1")
     p.add_argument("-o", "--output", default="report.json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH",
                    help="also write per-injection rows")

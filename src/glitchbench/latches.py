@@ -17,11 +17,9 @@ LATCH_FIELDS: dict[str, tuple[tuple[str, int], ...]] = {
 }
 
 LATCHES = tuple(LATCH_FIELDS)
-STAGES = ("IF", "ID", "EX", "WB")
 
 # latch -> stage consuming its contents
 CONSUMER_STAGE = {"IF_ID": "ID", "ID_EX": "EX", "EX_WB": "WB"}
-LATCH_OF_STAGE = {v: k for k, v in CONSUMER_STAGE.items()}
 
 FIELD_WIDTH = {(latch, name): width
                for latch, fields in LATCH_FIELDS.items()
@@ -30,10 +28,6 @@ FIELD_WIDTH = {(latch, name): width
 
 def field_names(latch: str) -> tuple[str, ...]:
     return tuple(name for name, _ in LATCH_FIELDS[latch])
-
-
-def latch_bits(latch: str) -> int:
-    return sum(width for _, width in LATCH_FIELDS[latch])
 
 
 def bubble(latch: str) -> dict[str, int]:

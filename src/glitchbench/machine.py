@@ -22,7 +22,6 @@ TRAP_CAUSES = frozenset({
     "FETCH_FAULT", "ILLEGAL", "MISALIGNED_LOAD",
     "MISALIGNED_STORE", "MISALIGNED_FETCH", "UNMAPPED_LOAD",
 })
-HALT_CAUSES = frozenset({"EBREAK", "ECALL", "HALT_PORT"})
 
 
 def is_trap(cause: str | None) -> bool:

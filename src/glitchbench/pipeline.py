@@ -3,8 +3,8 @@
 Stages are IF, ID, EX, WB with three inter-stage latches (IF_ID, ID_EX,
 EX_WB). Behavior downstream of a latch is determined entirely by the latch
 contents, so corrupting latched bits changes execution the way it would in
-the modeled netlist. Per-slot metadata rides alongside each latch for event
-bookkeeping only.
+the modeled netlist. Per-slot metadata rides alongside each latch; part of
+it decides retires, traps and halts (see SlotMeta and Pipeline.state_key).
 
 Microarchitecture rules:
   * operands are captured at the ID->EX edge: register file (written by WB
@@ -149,7 +149,15 @@ def _branch_op4(op4: int, a: int, b: int) -> bool:
 
 @dataclass(slots=True)
 class SlotMeta:
-    """Bookkeeping that travels with a latch slot; never drives semantics."""
+    """Metadata that travels with a latch slot.
+
+    `pc`, `next_pc`, `trap_cause`, `fault_cause` and `halt` are semantic:
+    they decide what a slot retires as, whether it traps and whether the
+    machine halts. `word_corrupted` and `nop_recorded` decide NOP-replacement
+    events, and `mem_write`/`output` feed the retire log. `dyn_id`, `raw`,
+    `mnemonic`, `iclass_name` and `ghost` only label traces, retire records
+    and glitch captures. `Pipeline.state_key` holds the fields that count.
+    """
 
     dyn_id: int
     pc: int = 0
@@ -300,6 +308,31 @@ class Pipeline:
         p.record_latches = False
         p.latch_trace = None
         return p
+
+    def state_key(self) -> tuple:
+        """Hashable summary of everything a glitch-free continuation reads.
+
+        Two pipelines at the same cycle with equal keys and no glitch still
+        pending retire the same pcs, raise the same mechanisms and end in
+        the same architectural state. Left out on purpose: the previous
+        latches and the capture profile (read only by a glitch), dynamic
+        ids, and the raw word, mnemonic and class of each slot (read only by
+        traces, retire records and glitch captures). A dead slot keys as
+        None: only a glitch could revive it.
+        """
+
+        a = self.arch
+        return (_slot_key(self.if_id, self.if_id_meta),
+                _slot_key(self.id_ex, self.id_ex_meta),
+                _slot_key(self.ex_wb, self.ex_wb_meta),
+                self.fetch_pc, self.fetch_stopped, self.ex_remaining,
+                self.illegal_policy,
+                a.pc, tuple(a.regs),
+                # exact items: an absent word and a zero word differ for
+                # fetches and for strict loads
+                frozenset(a.mem.items()),
+                tuple(a.output_log), a.halted, a.halt_cause, a.exit_code,
+                a.strict)
 
     def run(self, max_cycles: int) -> None:
         while self.cycle < max_cycles and self.clock():
@@ -742,6 +775,16 @@ class Pipeline:
                              d.iclass.value if isinstance(d, Instruction)
                              else None, -1)
         return CycleTrace(self.cycle, occ, dict(self.captures))
+
+
+def _slot_key(slot: dict, meta: SlotMeta | None) -> tuple | None:
+    if not slot["valid"]:
+        return None
+    if meta is None:
+        return tuple(slot.items()), None
+    return tuple(slot.items()), (
+        meta.pc, meta.trap_cause, meta.fault_cause, meta.halt, meta.next_pc,
+        meta.word_corrupted, meta.nop_recorded, meta.mem_write, meta.output)
 
 
 def run_pipeline(program: Program, *, timing: TimingModel | None = None,

@@ -78,10 +78,6 @@ class SelectiveWindow:
     hi_ns: float
     target: tuple | None  # (pc, mnemonic, iclass, dyn_id) of the consumer
 
-    @property
-    def mid_ns(self) -> float:
-        return (self.lo_ns + self.hi_ns) / 2
-
 
 def build_dynamic_rat(run: PipelineRun,
                       timing: TimingModel) -> list[SelectiveWindow]:

@@ -3,20 +3,26 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glitchbench.campaign import (
     CONTROL_FLOW_DEVIATION, CSV_HEADER, HANG, NO_EFFECT, SDC_OUTPUT, TRAP,
-    build_plan, classify_outcome, first_divergence, golden_baseline,
-    offset_grid, run_campaign,
+    CampaignPlan, build_plan, classify_outcome, first_divergence,
+    from_reset_record, golden_baseline, offset_grid, run_campaign,
 )
-from glitchbench.glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
+from glitchbench.glitch import CorruptionPolicy, IllegalPolicy
 from glitchbench.machine import TRAP_CAUSES
-from glitchbench.pipeline import run_pipeline
+from glitchbench.pipeline import Pipeline
 from glitchbench.timing import reference_timing
-from glitchbench.workloads import workload_program
+from glitchbench.workloads import workload_names, workload_program
 
 TIMING = reference_timing()
 PROG = workload_program("mb_alu_imm")
+# bnn stimulus 0, cycle 1600: offsets up to 4.99 ns change a latch. 1.0 ns
+# reaches a post-glitch state of its own, 1.07-4.99 ns all reach one other.
+BNN_OFFSETS = (1.0, 9.82, 0.98)
+MB_NAMES = [name for name in workload_names() if name.startswith("mb_")]
+POLICY_PAIRS = [(p, i) for i in IllegalPolicy for p in CorruptionPolicy]
 
 
 @pytest.fixture(scope="module")
@@ -67,37 +73,113 @@ def test_safe_offsets_never_disturb_anything(swept):
     assert all(r.output == golden.output for r in safe)
 
 
-def test_sampled_records_match_unforked_full_runs(swept):
-    """The rolling-baseline fork shortcut must be invisible: every record
-    equals what a from-reset run with the same glitch produces."""
+def test_sampled_records_match_unforked_full_runs():
+    """The rolling-baseline fork, the skipped clean continuation and the
+    post-glitch memo must be invisible: under every policy pair, every
+    sampled record equals the one a from-reset run with the same glitch
+    produces."""
 
-    plan, golden, res = swept
-    budget = golden.cycles * plan.hang_factor
-    for rec in res.records[7::97]:
-        spec = GlitchSpec(rec.cycle, rec.offset_ns, plan.policy,
-                          plan.illegal_policy)
-        full = run_pipeline(PROG, timing=TIMING, glitches=[spec],
-                            max_cycles=budget)
-        changed = [e for e in full.corruptions if e.changed]
-        mechanisms = tuple(sorted({m.kind for m in full.mechanisms}))
-        outcome, effect, mis = classify_outcome(
-            golden, status=full.status,
-            pcs=tuple(full.retire_pcs()),
-            output=tuple(full.arch.output_log),
-            regs=tuple(full.arch.regs),
-            mem=tuple(sorted((a, v) for a, v in full.arch.mem.items() if v)),
-            halt_cause=full.arch.halt_cause,
-            exit_code=full.arch.exit_code,
-            mechanisms=mechanisms)
-        assert (rec.outcome, rec.effect, rec.misclassified) == \
-            (outcome, effect, mis), rec
-        if changed:
-            assert rec.mechanisms == mechanisms
-            assert rec.root_cause == f"{changed[0].latch}.{changed[0].field}"
-            assert rec.cycles == full.cycles
-            assert rec.output == tuple(full.arch.output_log)
-        else:
-            assert rec.outcome == NO_EFFECT
+    for policy, illegal_policy in POLICY_PAIRS:
+        plan, golden = build_plan(PROG, TIMING, offsets=(1.0, 9.5, 0.5),
+                                  policy=policy,
+                                  illegal_policy=illegal_policy)
+        res = run_campaign(plan, golden)
+        changed = [r for r in res.records if r.root_cause]
+        assert changed
+        for rec in res.records[7::97] + changed[::max(1, len(changed) // 16)]:
+            assert from_reset_record(plan, golden, rec.cycle,
+                                     rec.offset_idx)[0] == rec, \
+                (policy, illegal_policy)
+
+
+def test_memo_reuses_continuations_on_bnn(monkeypatch):
+    """bnn stimulus 0, cycle 1600: many offsets reach one post-glitch
+    state, one reaches another. Records match the from-reset oracle while
+    fewer continuations run than there are changed points."""
+
+    prog = workload_program("bnn", input_index=0)
+    plan, golden = build_plan(prog, TIMING, cycles=(1600, 1601),
+                              offsets=BNN_OFFSETS, label="bnn")
+    runs = []
+    plain_run = Pipeline.run
+
+    def counting_run(self, max_cycles):
+        runs.append(self.cycle)
+        return plain_run(self, max_cycles)
+
+    monkeypatch.setattr(Pipeline, "run", counting_run)
+    res = run_campaign(plan, golden)
+    monkeypatch.undo()
+
+    changed = [r for r in res.records if r.root_cause]
+    assert len(runs) == 2 < len(changed)
+    assert len({r.outcome for r in changed}) == 2
+    for rec in res.records:
+        assert from_reset_record(plan, golden, rec.cycle,
+                                 rec.offset_idx)[0] == rec
+
+
+def test_mechanisms_after_the_glitched_cycle_reach_the_record():
+    """mb_muldiv, cycle 44: the zeroed word is fetched while a divide
+    enters EX and is only decoded (and NOP-replaced) 31 cycles later, so
+    the mechanism comes from the stored continuation."""
+
+    plan, golden = build_plan(workload_program("mb_muldiv"), TIMING,
+                              cycles=(44, 45), offsets=(1.0, 9.82, 0.07),
+                              policy=CorruptionPolicy.ZERO_LATE_BITS)
+    res = run_campaign(plan, golden)
+    assert "NOP_REPLACEMENT" in res.records[75].mechanisms
+    for rec in res.records:
+        assert from_reset_record(plan, golden, rec.cycle,
+                                 rec.offset_idx)[0] == rec
+
+
+@pytest.mark.parametrize(
+    "name, policy, illegal_policy",
+    [(name, *POLICY_PAIRS[i % len(POLICY_PAIRS)])
+     for i, name in enumerate(MB_NAMES)])
+def test_memo_free_campaign_gives_the_same_report(name, policy,
+                                                  illegal_policy,
+                                                  monkeypatch):
+    """Dense grids make many offsets of one cycle meet in the memo, and
+    mb_system reaches equal states at different cycles. With every key
+    unique (no memo) the report must not change by a byte."""
+
+    plan, golden = build_plan(workload_program(name), TIMING, cycles=(0, 10),
+                              offsets=(1.0, 9.82, 0.14), policy=policy,
+                              illegal_policy=illegal_policy, label=name)
+    report = run_campaign(plan, golden).to_json()
+    monkeypatch.setattr(Pipeline, "state_key", lambda self: object())
+    assert run_campaign(plan, golden).to_json() == report
+
+
+_GOLDEN = {name: golden_baseline(workload_program(name)) for name in MB_NAMES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(MB_NAMES), data=st.data(),
+       policy=st.sampled_from(list(CorruptionPolicy)),
+       illegal_policy=st.sampled_from(list(IllegalPolicy)))
+def test_campaign_matches_from_reset_runs(name, data, policy,
+                                          illegal_policy):
+    """Differential fuzz: a small random grid, campaign vs plain path.
+    Offsets stride across the period so that different corruptions of
+    one cycle meet in the memo."""
+
+    golden = _GOLDEN[name]
+    cycle = data.draw(st.integers(0, golden.cycles - 1), label="cycle")
+    width = data.draw(st.integers(1, 2), label="cycles")
+    stride = data.draw(st.integers(1, 16), label="offset stride")
+    lo = data.draw(st.integers(0, 126), label="offset index")
+    count = data.draw(st.integers(1, min(12, 126 // stride + 1,
+                                         (126 - lo) // stride + 1)),
+                      label="offsets")
+    plan = CampaignPlan(workload_program(name), TIMING, cycle, cycle + width,
+                        1.0 + lo * 0.07, stride * 0.07, count, policy,
+                        illegal_policy, label=name)
+    for rec in run_campaign(plan, golden).records:
+        assert from_reset_record(plan, golden, rec.cycle,
+                                 rec.offset_idx)[0] == rec
 
 
 def test_worker_split_is_byte_identical(swept):

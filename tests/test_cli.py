@@ -152,6 +152,13 @@ def test_campaign_rejects_bad_ranges(capsys):
     capsys.readouterr()
 
 
+def test_campaign_rejects_bad_jobs(capsys):
+    for jobs in ("0", "-3"):
+        assert run_cli("campaign", "--workload", "mb_system",
+                       "--jobs", jobs) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_timing_env_and_flag(tmp_path, capsys, monkeypatch):
     # a louder-setup model via env: windows shrink, table still prints
     tm = reference_timing()
