@@ -446,8 +446,7 @@ class CampaignResult:
 
 
 def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
-                     *, hang_factor: int = HANG_FACTOR,
-                     max_cycles: int = 1_000_000):
+                     *, max_cycles: int = 1_000_000):
     """One glitch, fully classified: (record, faulty run, golden baseline).
 
     The returned run is a from-reset simulation carrying the complete
@@ -457,7 +456,7 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     golden = golden_baseline(program, max_cycles=max_cycles)
     plan = CampaignPlan(program, timing, spec.cycle, spec.cycle + 1,
                         spec.offset_ns, 1.0, 1, spec.policy,
-                        spec.illegal_policy, hang_factor, label="inject")
+                        spec.illegal_policy, label="inject")
     record, full = from_reset_record(plan, golden, spec.cycle, 0)
     return record, full, golden
 

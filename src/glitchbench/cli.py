@@ -14,10 +14,7 @@ import sys
 from pathlib import Path
 
 from .asm import AsmError, Program, assemble, load_image, store_image
-from .campaign import (
-    CampaignPlan, GoldenBaseline, build_plan, golden_baseline, offset_grid,
-    run_campaign, single_injection,
-)
+from .campaign import build_plan, run_campaign, single_injection
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .machine import run_golden
 from .pipeline import run_pipeline

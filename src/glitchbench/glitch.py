@@ -13,9 +13,9 @@ data and come through clean.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .latches import FIELD_WIDTH, LATCHES, field_names
+from .latches import LATCHES, field_names
 from .timing import TimingModel
 
 
@@ -59,76 +59,47 @@ class LatchCapture:
     iclass: str | None
     incoming: dict      # field -> value the capture would latch glitch-free
     previous: dict      # field -> value latched the cycle before
+    pc: int | None      # victim instruction, when the slot had one
 
 
-@dataclass(frozen=True)
-class FieldCorruption:
+@dataclass(frozen=True, slots=True)
+class CorruptionEvent:
+    """One latch field that captured at least one late bit."""
+
+    cycle: int
+    latch: str
     field: str
-    late_bits: tuple[int, ...]
+    iclass: str
+    late_bits: tuple
     clean: int
     corrupted: int
-
-
-@dataclass(frozen=True)
-class LatchEffect:
-    latch: str
-    iclass: str
-    fields: tuple[FieldCorruption, ...]
-    ghost: bool = False          # valid corrupted 0 -> 1, stale slot revived
+    ghost: bool = False            # valid corrupted 0 -> 1, stale slot revived
     bubble_injected: bool = False  # valid corrupted 1 -> 0, slot killed
+    pc: int | None = None          # victim instruction, when the slot had one
 
     @property
-    def corrupted(self) -> bool:
-        return bool(self.fields)
-
-    def value(self) -> dict:
-        out = dict()
-        for fc in self.fields:
-            out[fc.field] = fc.corrupted
-        return out
+    def changed(self) -> bool:
+        return self.clean != self.corrupted
 
 
-@dataclass(frozen=True)
-class GlitchEffect:
-    spec: GlitchSpec
-    latches: dict = field(default_factory=dict)  # latch -> LatchEffect
-
-    @property
-    def any_corruption(self) -> bool:
-        return any(e.corrupted for e in self.latches.values())
-
-
-def _mask_merge(clean: int, stale: int, bits: tuple[int, ...]) -> int:
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return (clean & ~mask) | (stale & mask)
-
-
-def _mask_clear(clean: int, bits: tuple[int, ...]) -> int:
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return clean & ~mask
-
-
-def plan_effect(spec: GlitchSpec, captures: dict,
-                timing: TimingModel) -> GlitchEffect:
+def plan_effect(spec: GlitchSpec, captures: dict, timing: TimingModel
+                ) -> dict[str, tuple[CorruptionEvent, ...]]:
     """Work out the corrupted contents of every latch at the glitched edge.
 
-    `captures` maps latch name to LatchCapture. Corruption is recorded per
-    field whenever any bit arrives late, even if the substituted value
+    `captures` maps latch name to LatchCapture; the result maps each
+    corrupted latch to its events, in field order. Corruption is recorded
+    per field whenever any bit arrives late, even if the substituted value
     happens to equal the clean one; downstream divergence is a separate
     question from timing violation.
     """
 
     timing.check_offset(spec.offset_ns)
-    effects: dict[str, LatchEffect] = {}
+    effects: dict[str, tuple[CorruptionEvent, ...]] = {}
     for latch in LATCHES:
         cap = captures.get(latch)
         if cap is None or not cap.fresh or cap.iclass is None:
             continue
-        late: dict[str, tuple[int, ...]] = {}
+        late = {}
         for fname in field_names(latch):
             bits = timing.late_bits(cap.iclass, latch, fname, spec.offset_ns)
             if bits:
@@ -136,28 +107,27 @@ def plan_effect(spec: GlitchSpec, captures: dict,
         if not late:
             continue
 
-        fields = []
+        fields = {}  # field -> (late bits, corrupted value)
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
             # one late bit anywhere reverts the entire register
             for fname in field_names(latch):
-                fields.append(FieldCorruption(
-                    fname, late.get(fname, ()),
-                    cap.incoming[fname], cap.previous[fname]))
+                fields[fname] = late.get(fname, ()), cap.previous[fname]
         else:
             for fname, bits in late.items():
-                clean = cap.incoming[fname]
-                if spec.policy is CorruptionPolicy.STALE_BITS:
-                    bad = _mask_merge(clean, cap.previous[fname], bits)
-                else:
-                    bad = _mask_clear(clean, bits)
-                fields.append(FieldCorruption(fname, bits, clean, bad))
+                mask = 0
+                for b in bits:
+                    mask |= 1 << b
+                stale = cap.previous[fname] \
+                    if spec.policy is CorruptionPolicy.STALE_BITS else 0
+                fields[fname] = \
+                    bits, (cap.incoming[fname] & ~mask) | (stale & mask)
 
-        by_name = {fc.field: fc for fc in fields}
         valid_in = cap.incoming["valid"] & 1
-        valid_out = by_name["valid"].corrupted & 1 \
-            if "valid" in by_name else valid_in
-        effects[latch] = LatchEffect(
-            latch, cap.iclass, tuple(fields),
-            ghost=(valid_in == 0 and valid_out == 1),
-            bubble_injected=(valid_in == 1 and valid_out == 0))
-    return GlitchEffect(spec, effects)
+        valid_out = fields["valid"][1] & 1 if "valid" in fields else valid_in
+        ghost = valid_in == 0 and valid_out == 1
+        killed = valid_in == 1 and valid_out == 0
+        effects[latch] = tuple(
+            CorruptionEvent(spec.cycle, latch, fname, cap.iclass, bits,
+                            cap.incoming[fname], bad, ghost, killed, cap.pc)
+            for fname, (bits, bad) in fields.items())
+    return effects

@@ -132,44 +132,61 @@ def muldiv(mnemonic: str, a: int, b: int) -> int:
     raise AssertionError(mnemonic)
 
 
-def alu(mnemonic: str, a: int, b: int) -> int:
-    """Shared integer ALU for register and immediate forms (u32 in/out)."""
+# op4 codes of the ALU and the branch comparator: the ISS and the
+# pipeline's control word (pipeline.CONTROL) both select an operation by them
+ALU_OP4 = {"add": 0, "sub": 1, "sll": 2, "slt": 3, "sltu": 4,
+           "xor": 5, "srl": 6, "sra": 7, "or": 8, "and": 9,
+           "addi": 0, "slli": 2, "slti": 3, "sltiu": 4,
+           "xori": 5, "srli": 6, "srai": 7, "ori": 8, "andi": 9}
+BRANCH_OP4 = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
 
-    if mnemonic in ("add", "addi"):
+
+def alu(op4: int, a: int, b: int) -> int:
+    """Integer ALU for register and immediate forms (u32 in/out).
+
+    The undefined codes 10-15, reachable only through a corrupted control
+    word, give 0.
+    """
+
+    if op4 == 0:
         return (a + b) & 0xFFFFFFFF
-    if mnemonic == "sub":
+    if op4 == 1:
         return (a - b) & 0xFFFFFFFF
-    if mnemonic in ("sll", "slli"):
+    if op4 == 2:
         return (a << (b & 31)) & 0xFFFFFFFF
-    if mnemonic in ("slt", "slti"):
+    if op4 == 3:
         return 1 if _s32(a) < _s32(b) else 0
-    if mnemonic in ("sltu", "sltiu"):
+    if op4 == 4:
         return 1 if a < b else 0
-    if mnemonic in ("xor", "xori"):
+    if op4 == 5:
         return a ^ b
-    if mnemonic in ("srl", "srli"):
+    if op4 == 6:
         return a >> (b & 31)
-    if mnemonic in ("sra", "srai"):
+    if op4 == 7:
         return (_s32(a) >> (b & 31)) & 0xFFFFFFFF
-    if mnemonic in ("or", "ori"):
+    if op4 == 8:
         return a | b
-    if mnemonic in ("and", "andi"):
+    if op4 == 9:
         return a & b
-    raise AssertionError(mnemonic)
+    return 0
 
 
-def branch_taken(mnemonic: str, a: int, b: int) -> bool:
-    if mnemonic == "beq":
+def branch_taken(op4: int, a: int, b: int) -> bool:
+    """Branch comparator; the undefined codes 2 and 3 are never taken."""
+
+    if op4 == 0:
         return a == b
-    if mnemonic == "bne":
+    if op4 == 1:
         return a != b
-    if mnemonic == "blt":
+    if op4 == 4:
         return _s32(a) < _s32(b)
-    if mnemonic == "bge":
+    if op4 == 5:
         return _s32(a) >= _s32(b)
-    if mnemonic == "bltu":
+    if op4 == 6:
         return a < b
-    return a >= b  # bgeu
+    if op4 == 7:
+        return a >= b
+    return False
 
 
 def load_from(state: ArchState, mnemonic: str, addr: int) -> tuple[int | None, str | None]:
@@ -267,12 +284,12 @@ def step(state: ArchState) -> StepEvent:
     reg_write = mem_write = output = halt = None
 
     if cls is isa.IClass.ALU_IMM:
-        res = alu(m, regs[d.rs1], d.imm & 0xFFFFFFFF)
+        res = alu(ALU_OP4[m], regs[d.rs1], d.imm & 0xFFFFFFFF)
         if d.rd:
             reg_write = (d.rd, regs[d.rd], res)
             regs[d.rd] = res
     elif cls is isa.IClass.ALU_REG:
-        res = alu(m, regs[d.rs1], regs[d.rs2])
+        res = alu(ALU_OP4[m], regs[d.rs1], regs[d.rs2])
         if d.rd:
             reg_write = (d.rd, regs[d.rd], res)
             regs[d.rd] = res
@@ -300,7 +317,7 @@ def step(state: ArchState) -> StepEvent:
             state.halt_cause, state.exit_code = halt_info
             halt = halt_info[0]
     elif cls is isa.IClass.BRANCH:
-        if branch_taken(m, regs[d.rs1], regs[d.rs2]):
+        if branch_taken(BRANCH_OP4[m], regs[d.rs1], regs[d.rs2]):
             target = (pc + d.imm) & 0xFFFFFFFF
             if target & 3:
                 return trap("MISALIGNED_FETCH", raw=word, mnem=m)

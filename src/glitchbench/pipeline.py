@@ -32,10 +32,12 @@ from dataclasses import dataclass
 
 from . import machine
 from .asm import Program
-from .glitch import GlitchSpec, IllegalPolicy, LatchCapture, plan_effect
-from .isa import IClass, Illegal, Instruction, NOP_WORD
+from .glitch import (CorruptionEvent, GlitchSpec, IllegalPolicy,
+                     LatchCapture, plan_effect)
+from .isa import CLASS_OF, IClass, Illegal, Instruction, NOP_WORD
 from .latches import LATCHES, bubble
-from .machine import ArchState, StepEvent, cached_decode, load_program
+from .machine import (ALU_OP4, BRANCH_OP4, ArchState, StepEvent, alu,
+                      branch_taken, cached_decode, load_program)
 from .timing import TimingModel
 
 MASK32 = 0xFFFFFFFF
@@ -61,8 +63,6 @@ def _ctl(unit: int, op4: int = 0, *, imm: bool = False, wr: bool = False,
             | (sys2 << 10))
 
 
-_ALU_OP4 = {"add": 0, "sub": 1, "sll": 2, "slt": 3, "sltu": 4,
-            "xor": 5, "srl": 6, "sra": 7, "or": 8, "and": 9}
 _MULDIV_MNEM = ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")
 _LOAD_MNEM = {0: "lb", 1: "lh", 2: "lw", 4: "lbu", 5: "lhu"}
 _STORE_MNEM = {0: "sb", 1: "sh", 2: "sw"}
@@ -75,20 +75,16 @@ def trap_carrier_control(cause: str) -> int:
 
 
 CONTROL: dict[str, int] = {}
-for _m, _op in _ALU_OP4.items():
-    CONTROL[_m] = _ctl(UNIT_ALU, _op, wr=True)
-for _m, _op in (("addi", 0), ("slti", 3), ("sltiu", 4), ("xori", 5),
-                ("ori", 8), ("andi", 9), ("slli", 2), ("srli", 6),
-                ("srai", 7)):
-    CONTROL[_m] = _ctl(UNIT_ALU, _op, imm=True, wr=True)
+for _m, _op in ALU_OP4.items():
+    CONTROL[_m] = _ctl(UNIT_ALU, _op, imm=CLASS_OF[_m] is IClass.ALU_IMM,
+                       wr=True)
 for _i, _m in enumerate(_MULDIV_MNEM):
     CONTROL[_m] = _ctl(UNIT_MULDIV, _i, wr=True)
 for _op, _m in _LOAD_MNEM.items():
     CONTROL[_m] = _ctl(UNIT_LOAD, _op, imm=True, wr=True)
 for _op, _m in _STORE_MNEM.items():
     CONTROL[_m] = _ctl(UNIT_STORE, _op, imm=True)
-for _m, _op in (("beq", 0), ("bne", 1), ("blt", 4), ("bge", 5),
-                ("bltu", 6), ("bgeu", 7)):
+for _m, _op in BRANCH_OP4.items():
     CONTROL[_m] = _ctl(UNIT_BRANCH, _op)
 CONTROL["jal"] = _ctl(UNIT_JUMP, imm=True, wr=True, subop=0)
 CONTROL["jalr"] = _ctl(UNIT_JUMP, imm=True, wr=True, subop=1)
@@ -100,48 +96,13 @@ CONTROL["ebreak"] = _ctl(UNIT_SYSTEM, sys2=2)
 
 NOP_CONTROL = CONTROL["addi"]
 
+# latch -> (attribute of its contents, attribute of its previous contents)
+_LATCH_ATTRS = {"IF_ID": ("if_id", "prev_if_id"),
+                "ID_EX": ("id_ex", "prev_id_ex"),
+                "EX_WB": ("ex_wb", "prev_ex_wb")}
+
 # instructions that read no rs1 register
 _NO_RS1 = frozenset({"lui", "auipc", "jal", "ecall", "ebreak", "fence"})
-
-
-def _alu_op4(op4: int, a: int, b: int) -> int:
-    if op4 == 0:
-        return (a + b) & MASK32
-    if op4 == 1:
-        return (a - b) & MASK32
-    if op4 == 2:
-        return (a << (b & 31)) & MASK32
-    if op4 == 3:
-        return 1 if machine._s32(a) < machine._s32(b) else 0
-    if op4 == 4:
-        return 1 if a < b else 0
-    if op4 == 5:
-        return a ^ b
-    if op4 == 6:
-        return a >> (b & 31)
-    if op4 == 7:
-        return (machine._s32(a) >> (b & 31)) & MASK32
-    if op4 == 8:
-        return a | b
-    if op4 == 9:
-        return a & b
-    return 0
-
-
-def _branch_op4(op4: int, a: int, b: int) -> bool:
-    if op4 == 0:
-        return a == b
-    if op4 == 1:
-        return a != b
-    if op4 == 4:
-        return machine._s32(a) < machine._s32(b)
-    if op4 == 5:
-        return machine._s32(a) >= machine._s32(b)
-    if op4 == 6:
-        return a < b
-    if op4 == 7:
-        return a >= b
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +140,6 @@ class SlotMeta:
 
 
 @dataclass(frozen=True, slots=True)
-class CorruptionEvent:
-    cycle: int
-    latch: str
-    field: str
-    iclass: str
-    late_bits: tuple
-    clean: int
-    corrupted: int
-    ghost: bool = False
-    bubble_injected: bool = False
-    pc: int | None = None  # victim instruction, when the slot had one
-
-    @property
-    def changed(self) -> bool:
-        return self.clean != self.corrupted
-
-
-@dataclass(frozen=True, slots=True)
 class MechanismEvent:
     kind: str  # NOP_REPLACEMENT | MUTATED_INSTRUCTION | GHOST_INSTRUCTION
     cycle: int
@@ -229,11 +172,10 @@ class PipelineRun:
 class Pipeline:
     """Mutable pipeline simulator; one call to clock() is one cycle."""
 
-    def __init__(self, program: Program | None = None, *,
+    def __init__(self, program: Program, *,
                  timing: TimingModel | None = None, strict: bool = False,
-                 record_trace: bool = False, record_latches: bool = False,
-                 arch: ArchState | None = None):
-        self.arch = arch if arch is not None else load_program(program, strict)
+                 record_trace: bool = False, record_latches: bool = False):
+        self.arch = load_program(program, strict)
         self.timing = timing
         self.fetch_pc = self.arch.pc
         self.cycle = 0
@@ -515,7 +457,7 @@ class Pipeline:
         next_pc = (pc + 4) & MASK32
 
         if unit == UNIT_ALU:
-            result = _alu_op4(op4, rs1, imm if ctl & F_USE_IMM else rs2)
+            result = alu(op4, rs1, imm if ctl & F_USE_IMM else rs2)
         elif unit == UNIT_MULDIV:
             result = machine.muldiv(_MULDIV_MNEM[op4], rs1, rs2) \
                 if op4 < 8 else 0
@@ -537,7 +479,7 @@ class Pipeline:
                 mem_write, output, halt, trap = machine.store_effect(
                     self.arch, mnem, addr, rs2)
         elif unit == UNIT_BRANCH:
-            if _branch_op4(op4, rs1, rs2):
+            if branch_taken(op4, rs1, rs2):
                 target = (pc + imm) & MASK32
                 if target & 3:
                     trap = "MISALIGNED_FETCH"
@@ -697,31 +639,25 @@ class Pipeline:
     # -- glitch application ----------------------------------------------------
 
     def _apply_glitch(self, spec: GlitchSpec) -> None:
-        self.illegal_policy = spec.illegal_policy
         caps = {}
-        latch_attrs = {"IF_ID": ("if_id", "prev_if_id"),
-                       "ID_EX": ("id_ex", "prev_id_ex"),
-                       "EX_WB": ("ex_wb", "prev_ex_wb")}
-        for latch, (cur_name, prev_name) in latch_attrs.items():
+        for latch, (cur_name, prev_name) in _LATCH_ATTRS.items():
             fresh, iclass, _valid = self.captures[latch]
-            caps[latch] = LatchCapture(latch, fresh, iclass,
-                                       getattr(self, cur_name),
-                                       getattr(self, prev_name))
-        effect = plan_effect(spec, caps, self.timing)
-        for latch, le in effect.latches.items():
-            cur_name, prev_name = latch_attrs[latch]
+            cur = getattr(self, cur_name)
+            meta = getattr(self, cur_name + "_meta")
+            caps[latch] = LatchCapture(
+                latch, fresh, iclass, cur, getattr(self, prev_name),
+                meta.pc if meta is not None else cur.get("pc"))
+        changed = False
+        for latch, events in plan_effect(spec, caps, self.timing).items():
+            self.corruptions.extend(events)
+            changed = changed or any(e.changed for e in events)
+            cur_name, prev_name = _LATCH_ATTRS[latch]
             target = getattr(self, cur_name)
             clean_word = target.get("instr_word")
-            meta0 = getattr(self, cur_name + "_meta")
-            victim_pc = meta0.pc if meta0 is not None else target.get("pc")
-            target.update(le.value())
-            for fc in le.fields:
-                self.corruptions.append(CorruptionEvent(
-                    spec.cycle, latch, fc.field, le.iclass, fc.late_bits,
-                    fc.clean, fc.corrupted, le.ghost, le.bubble_injected,
-                    pc=victim_pc))
+            for e in events:
+                target[e.field] = e.corrupted
             meta_name = cur_name + "_meta"
-            if le.ghost:
+            if events[0].ghost:
                 stale = getattr(self, prev_name + "_meta")
                 meta = stale.clone() if stale else \
                     SlotMeta(self._next_dyn(), pc=target.get("pc", 0))
@@ -745,6 +681,9 @@ class Pipeline:
                             "MUTATED_INSTRUCTION", spec.cycle, target["pc"],
                             f"0x{clean_word:08X}->0x{new_word:08X} "
                             f"({nd.mnemonic})"))
+        if changed:
+            # a glitch that changes no latch leaves the run glitch-free
+            self.illegal_policy = spec.illegal_policy
 
     # -- tracing -----------------------------------------------------------------
 

@@ -24,11 +24,13 @@ from dataclasses import dataclass
 
 from .asm import Program
 from .glitch import GlitchSpec
-from .latches import CONSUMER_STAGE, LATCHES
+from .latches import CONSUMER_STAGE
 from .pipeline import Pipeline, PipelineRun, run_pipeline
 from .timing import TimingModel
 
 CSV_HEADER = "iclass,stage,t_crit_ns,slack_ns,window_lo_ns,window_hi_ns,rank"
+# offset step of the walk across a window's interior
+SCAN_STEP_NS = 0.05
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,6 @@ class _Prober:
 def verify_rat_empirically(program: Program, timing: TimingModel,
                            windows: list[SelectiveWindow] | None = None,
                            *, max_cycles: int = 1_000_000,
-                           scan_step: float = 0.05,
                            full_runs: bool = False,
                            max_windows: int | None = None
                            ) -> list[WindowCheck]:
@@ -197,12 +198,12 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
             else:
                 emp_lo = o_min
             selective = True
-            off = w.lo_ns + scan_step / 2
+            off = w.lo_ns + SCAN_STEP_NS / 2
             while off < w.hi_ns:
                 if prober.corrupted(cycle, off) != {w.latch}:
                     selective = False
                     break
-                off += scan_step
+                off += SCAN_STEP_NS
             above = min(w.hi_ns + eps * 10, top)
             if prober.corrupted(cycle, above):
                 selective = False

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .asm import Program, Segment, assemble
 from .isa import IClass
+from .machine import OUTPUT_PORT
 
 BNN_SEED = 0xC0FFEE
 N_INPUT_BITS = 64
@@ -32,8 +33,6 @@ L1_BASE = 0x400
 L2_BASE = L1_BASE + N_HIDDEN * 12
 INPUT_BASE = 0x600
 INPUT_SYMBOL = "input_data"
-
-OUTPUT_PORT = 0x80000000
 
 _MASK64 = (1 << 64) - 1
 _MASK16 = (1 << 16) - 1

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glitchbench.asm import assemble
 from glitchbench.campaign import (
     CONTROL_FLOW_DEVIATION, CSV_HEADER, HANG, NO_EFFECT, SDC_OUTPUT, TRAP,
     CampaignPlan, build_plan, classify_outcome, first_divergence,
@@ -178,6 +179,36 @@ def test_campaign_matches_from_reset_runs(name, data, policy,
                         1.0 + lo * 0.07, stride * 0.07, count, policy,
                         illegal_policy, label=name)
     for rec in run_campaign(plan, golden).records:
+        assert from_reset_record(plan, golden, rec.cycle,
+                                 rec.offset_idx)[0] == rec
+
+
+# the golden run decodes an illegal word and traps on it
+ILLEGAL_WORD_SRC = """
+    addi x1, x0, 1
+    addi x2, x0, 2
+    .word 0xFFFFFFFF
+    ebreak
+"""
+
+
+@pytest.mark.parametrize("illegal_policy", list(IllegalPolicy))
+def test_glitch_that_changes_no_latch_keeps_the_run_glitch_free(
+        illegal_policy):
+    """A glitch whose late bits all happen to match leaves the run exactly
+    glitch-free: the golden run's own illegal word still traps under
+    NOP_REPLACE. The campaign skips such points as NO_EFFECT, and the
+    from-reset run must agree on every point of the grid."""
+
+    plan, golden = build_plan(assemble(ILLEGAL_WORD_SRC), TIMING,
+                              illegal_policy=illegal_policy)
+    assert golden.halt_cause == "ILLEGAL"
+    records = run_campaign(plan, golden).records
+    assert len(records) == plan.points
+    safe = [r for r in records if r.offset_ns == 9.5]
+    assert [r.cycle for r in safe] == list(plan.cycles)
+    assert all(r.outcome == NO_EFFECT for r in safe)
+    for rec in records:
         assert from_reset_record(plan, golden, rec.cycle,
                                  rec.offset_idx)[0] == rec
 

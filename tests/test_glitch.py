@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from glitchbench.glitch import (CorruptionPolicy, FieldCorruption, GlitchSpec,
-                                IllegalPolicy, LatchCapture, plan_effect)
+from glitchbench.glitch import (CorruptionPolicy, GlitchSpec, IllegalPolicy,
+                                LatchCapture, plan_effect)
 from glitchbench.latches import LATCHES, bubble, field_names
 from glitchbench.timing import reference_timing
 
@@ -15,7 +15,11 @@ def cap(latch, iclass, incoming, previous, fresh=True):
     inc.update(incoming)
     prev = bubble(latch)
     prev.update(previous)
-    return LatchCapture(latch, fresh, iclass, inc, prev)
+    return LatchCapture(latch, fresh, iclass, inc, prev, inc.get("pc"))
+
+
+def values(events):
+    return {e.field: e.corrupted for e in events}
 
 
 def one_latch(captures):
@@ -30,17 +34,17 @@ def test_safe_offset_touches_nothing():
             {"instr_word": 0x13, "pc": 0x3C, "valid": 1})
     spec = GlitchSpec(cycle=5, offset_ns=9.5)
     eff = plan_effect(spec, one_latch([c]), TM)
-    assert not eff.any_corruption
-    assert eff.latches == {}
+    assert not any(eff.values())
+    assert eff == {}
 
 
 def test_held_and_idle_latches_immune():
     held = LatchCapture("IF_ID", False, "LOAD",
-                        dict(bubble("IF_ID")), dict(bubble("IF_ID")))
+                        dict(bubble("IF_ID")), dict(bubble("IF_ID")), 0)
     idle = LatchCapture("ID_EX", True, None,
-                        dict(bubble("ID_EX")), dict(bubble("ID_EX")))
+                        dict(bubble("ID_EX")), dict(bubble("ID_EX")), None)
     eff = plan_effect(GlitchSpec(0, 1.0), {"IF_ID": held, "ID_EX": idle}, TM)
-    assert eff.latches == {}
+    assert eff == {}
 
 
 def test_stale_bits_merges_previous_value():
@@ -52,17 +56,19 @@ def test_stale_bits_merges_previous_value():
     # instr_word bits can be late
     spec = GlitchSpec(3, 8.3, CorruptionPolicy.STALE_BITS)
     eff = plan_effect(spec, one_latch([c]), TM)
-    assert set(eff.latches) == {"IF_ID"}
-    le = eff.latches["IF_ID"]
-    assert [f.field for f in le.fields] == ["instr_word"]
-    fc = le.fields[0]
+    assert set(eff) == {"IF_ID"}
+    events = eff["IF_ID"]
+    assert [e.field for e in events] == ["instr_word"]
+    e = events[0]
+    assert (e.cycle, e.latch, e.iclass, e.pc) == (3, "IF_ID", "LOAD", 0x40)
     late = TM.late_bits("LOAD", "IF_ID", "instr_word", 8.3)
-    assert fc.late_bits == late
+    assert e.late_bits == late
     mask = 0
     for b in late:
         mask |= 1 << b
-    assert fc.corrupted == (clean & ~mask) | (prev & mask)
-    assert not le.ghost and not le.bubble_injected
+    assert e.clean == clean
+    assert e.corrupted == (clean & ~mask) | (prev & mask)
+    assert not e.ghost and not e.bubble_injected
 
 
 def test_zero_late_bits_clears():
@@ -71,11 +77,11 @@ def test_zero_late_bits_clears():
             {"instr_word": 0, "pc": 0, "valid": 1})
     spec = GlitchSpec(3, 8.3, CorruptionPolicy.ZERO_LATE_BITS)
     eff = plan_effect(spec, one_latch([c]), TM)
-    fc = eff.latches["IF_ID"].fields[0]
+    e = eff["IF_ID"][0]
     mask = 0
-    for b in fc.late_bits:
+    for b in e.late_bits:
         mask |= 1 << b
-    assert fc.corrupted == clean & ~mask
+    assert e.corrupted == clean & ~mask
 
 
 def test_stale_register_reverts_whole_latch():
@@ -86,10 +92,11 @@ def test_stale_register_reverts_whole_latch():
              "rd": 4, "pc": 4, "valid": 1})
     spec = GlitchSpec(3, 6.0, CorruptionPolicy.STALE_REGISTER)
     eff = plan_effect(spec, one_latch([c]), TM)
-    le = eff.latches["ID_EX"]
-    assert set(f.field for f in le.fields) == set(field_names("ID_EX"))
-    assert le.value() == c.previous
-    assert any(f.late_bits for f in le.fields)
+    events = eff["ID_EX"]
+    assert [e.field for e in events] == list(field_names("ID_EX"))
+    assert values(events) == c.previous
+    assert any(e.late_bits for e in events)
+    assert all(e.pc == 8 for e in events)
 
 
 def test_ghost_revival_and_bubble_kill():
@@ -100,28 +107,29 @@ def test_ghost_revival_and_bubble_kill():
                 {"instr_word": 0x00208463, "pc": 0x0C, "valid": 1})
     eff = plan_effect(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS),
                       one_latch([ghost]), TM)
-    le = eff.latches["IF_ID"]
-    assert le.ghost and not le.bubble_injected
-    assert le.value()["valid"] == 1
+    events = eff["IF_ID"]
+    assert all(e.ghost and not e.bubble_injected for e in events)
+    assert values(events)["valid"] == 1
 
     kill = cap("IF_ID", "ALU_IMM",
                {"instr_word": 0x00100093, "pc": 0x10, "valid": 1},
                {"instr_word": 0, "pc": 0x0C, "valid": 0})
     eff = plan_effect(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS),
                       one_latch([kill]), TM)
-    le = eff.latches["IF_ID"]
-    assert le.bubble_injected and not le.ghost
-    assert le.value()["valid"] == 0
+    events = eff["IF_ID"]
+    assert all(e.bubble_injected and not e.ghost for e in events)
+    assert values(events)["valid"] == 0
 
 
 def test_corruption_recorded_even_when_value_unchanged():
     same = {"instr_word": 0x00000013, "pc": 0x40, "valid": 1}
     c = cap("IF_ID", "ALU_IMM", same, same)
     eff = plan_effect(GlitchSpec(2, 7.5), one_latch([c]), TM)
-    le = eff.latches["IF_ID"]
-    assert le.corrupted
-    fc = {f.field: f for f in le.fields}["instr_word"]
-    assert fc.corrupted == fc.clean  # stale bits happen to match
+    events = eff["IF_ID"]
+    assert events
+    e = {e.field: e for e in events}["instr_word"]
+    assert e.corrupted == e.clean  # stale bits happen to match
+    assert not e.changed
 
 
 def test_selectivity_between_thresholds():
@@ -135,11 +143,11 @@ def test_selectivity_between_thresholds():
               {"control": 0, "rs1_val": 0, "rs2_val": 0, "imm": 0,
                "rd": 0, "pc": 0, "valid": 1})
     eff = plan_effect(GlitchSpec(4, 8.6), one_latch([lw, mul]), TM)
-    assert set(eff.latches) == {"IF_ID"}
+    assert set(eff) == {"IF_ID"}
     eff = plan_effect(GlitchSpec(4, 8.39), one_latch([lw, mul]), TM)
-    assert set(eff.latches) == {"IF_ID", "ID_EX"}
+    assert set(eff) == {"IF_ID", "ID_EX"}
     eff = plan_effect(GlitchSpec(4, 8.8), one_latch([lw, mul]), TM)
-    assert eff.latches == {}
+    assert eff == {}
 
 
 def test_late_set_grows_as_offset_shrinks():
@@ -153,8 +161,7 @@ def test_late_set_grows_as_offset_shrinks():
     prev_sets = None
     for offset in [8.2, 7.0, 5.5, 4.0, 2.5, 1.0]:
         eff = plan_effect(GlitchSpec(0, offset), one_latch([c]), TM)
-        le = eff.latches.get("ID_EX")
-        sets = {f.field: set(f.late_bits) for f in (le.fields if le else ())}
+        sets = {e.field: set(e.late_bits) for e in eff.get("ID_EX", ())}
         if prev_sets is not None:
             for fname, bits in prev_sets.items():
                 assert fname in sets and bits <= sets[fname]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proggen import random_source
 from glitchbench.asm import assemble
@@ -192,6 +193,12 @@ def test_random_programs_lockstep(seed):
     assert run.status == "HALTED"
     assert run.retires == gold.events
     assert run.arch.same_arch(gold.state)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_programs_lockstep(seed):
+    lockstep(random_source(seed), max_steps=100_000)
 
 
 # -- glitch behavior through the pipeline -----------------------------------
