@@ -500,6 +500,13 @@ def load_image(manifest_path: str | Path) -> Program:
     if not isinstance(manifest, dict) or "entry" not in manifest \
             or "segments" not in manifest:
         raise ImageError(f"malformed manifest {path}: missing entry/segments")
+    entry = manifest["entry"]
+    symbols = manifest.get("symbols", {})
+    if type(entry) is not int or not isinstance(manifest["segments"], list) \
+            or not isinstance(symbols, dict) \
+            or any(type(v) is not int for v in symbols.values()):
+        raise ImageError(f"malformed manifest {path}: entry and symbol "
+                         f"values must be integers, segments a list")
 
     segments = []
     for ent in manifest["segments"]:
@@ -507,6 +514,9 @@ def load_image(manifest_path: str | Path) -> Program:
             base, name, length, digest = ent["base"], ent["file"], ent["len"], ent["sha256"]
         except (TypeError, KeyError) as e:
             raise ImageError(f"malformed segment entry in {path}") from e
+        if type(base) is not int or type(length) is not int \
+                or not isinstance(name, str) or not isinstance(digest, str):
+            raise ImageError(f"malformed segment entry in {path}")
         data = (path.parent / name).read_bytes()
         if len(data) != length:
             raise ImageError(f"segment {name}: length {len(data)} != manifest {length}")
@@ -519,8 +529,6 @@ def load_image(manifest_path: str | Path) -> Program:
         if a.end > b.base:
             raise ImageError(f"overlapping segments at 0x{b.base:x}")
 
-    entry = manifest["entry"]
     if segments and not any(s.base <= entry < s.end for s in segments):
         raise ImageError(f"entry 0x{entry:x} outside all segments")
-    return Program(entry=entry, segments=segments,
-                   symbols=dict(manifest.get("symbols", {})))
+    return Program(entry=entry, segments=segments, symbols=dict(symbols))

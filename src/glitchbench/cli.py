@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .asm import AsmError, Program, assemble, load_image, store_image
+from .asm import (AsmError, ImageError, Program, assemble, load_image,
+                  store_image)
 from .campaign import build_plan, run_campaign, single_injection
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .machine import run_golden
@@ -168,6 +169,9 @@ def cmd_rat(args) -> int:
     if args.verify or args.dynamic:
         prog, label = _load_program(args)
     if args.verify:
+        if args.max_windows is not None and args.max_windows < 0:
+            raise _InputError(f"--max-windows must be at least 0, "
+                              f"got {args.max_windows}")
         checks = verify_rat_empirically(
             prog, timing, max_cycles=args.max_cycles,
             max_windows=args.max_windows)
@@ -314,6 +318,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.top < 0:
+        raise _InputError(f"--top must be at least 0, got {args.top}")
     rep = json.loads(Path(args.report).read_text())
     grid = rep["grid"]
     summary = rep["summary"]
@@ -459,10 +465,7 @@ def main(argv=None) -> int:
         return e.code or 0
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except AsmError as exc:
+    except (_InputError, AsmError, ImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TimingError as exc:

@@ -57,8 +57,8 @@ class LatchCapture:
     latch: str
     fresh: bool
     iclass: str | None
-    incoming: dict      # field -> value the capture would latch glitch-free
-    previous: dict      # field -> value latched the cycle before
+    incoming: tuple     # latch value the capture would latch glitch-free
+    previous: tuple     # latch value latched the cycle before
     pc: int | None      # victim instruction, when the slot had one
 
 
@@ -108,26 +108,27 @@ def plan_effect(spec: GlitchSpec, captures: dict, timing: TimingModel
             continue
 
         fields = {}  # field -> (late bits, corrupted value)
+        inc, prev = cap.incoming, cap.previous
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
             # one late bit anywhere reverts the entire register
             for fname in field_names(latch):
-                fields[fname] = late.get(fname, ()), cap.previous[fname]
+                fields[fname] = late.get(fname, ()), getattr(prev, fname)
         else:
             for fname, bits in late.items():
                 mask = 0
                 for b in bits:
                     mask |= 1 << b
-                stale = cap.previous[fname] \
+                stale = getattr(prev, fname) \
                     if spec.policy is CorruptionPolicy.STALE_BITS else 0
                 fields[fname] = \
-                    bits, (cap.incoming[fname] & ~mask) | (stale & mask)
+                    bits, (getattr(inc, fname) & ~mask) | (stale & mask)
 
-        valid_in = cap.incoming["valid"] & 1
+        valid_in = inc.valid & 1
         valid_out = fields["valid"][1] & 1 if "valid" in fields else valid_in
         ghost = valid_in == 0 and valid_out == 1
         killed = valid_in == 1 and valid_out == 0
         effects[latch] = tuple(
             CorruptionEvent(spec.cycle, latch, fname, cap.iclass, bits,
-                            cap.incoming[fname], bad, ghost, killed, cap.pc)
+                            getattr(inc, fname), bad, ghost, killed, cap.pc)
             for fname, (bits, bad) in fields.items())
     return effects

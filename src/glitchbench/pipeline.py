@@ -27,15 +27,15 @@ corruptible, which is how ghost revivals happen.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import machine
 from .asm import Program
 from .glitch import (CorruptionEvent, GlitchSpec, IllegalPolicy,
                      LatchCapture, plan_effect)
 from .isa import CLASS_OF, IClass, Illegal, Instruction, NOP_WORD
-from .latches import LATCHES, bubble
+from .latches import LATCH_TYPE, LATCHES, bubble
 from .machine import (ALU_OP4, BRANCH_OP4, ArchState, StepEvent, alu,
                       branch_taken, cached_decode, load_program)
 from .timing import TimingModel
@@ -94,12 +94,14 @@ CONTROL["fence"] = _ctl(UNIT_SYSTEM, sys2=0)
 CONTROL["ecall"] = _ctl(UNIT_SYSTEM, sys2=1)
 CONTROL["ebreak"] = _ctl(UNIT_SYSTEM, sys2=2)
 
-NOP_CONTROL = CONTROL["addi"]
-
 # latch -> (attribute of its contents, attribute of its previous contents)
 _LATCH_ATTRS = {"IF_ID": ("if_id", "prev_if_id"),
                 "ID_EX": ("id_ex", "prev_id_ex"),
                 "EX_WB": ("ex_wb", "prev_ex_wb")}
+
+IfId, IdEx, ExWb = (LATCH_TYPE[latch] for latch in LATCHES)
+_IF_ID_BUBBLE, _ID_EX_BUBBLE, _EX_WB_BUBBLE = (bubble(latch)
+                                               for latch in LATCHES)
 
 # instructions that read no rs1 register
 _NO_RS1 = frozenset({"lui", "auipc", "jal", "ecall", "ebreak", "fence"})
@@ -108,9 +110,8 @@ _NO_RS1 = frozenset({"lui", "auipc", "jal", "ecall", "ebreak", "fence"})
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class SlotMeta:
-    """Metadata that travels with a latch slot.
+class SlotMeta(NamedTuple):
+    """Metadata that travels with a latch slot, as an immutable value.
 
     `pc`, `next_pc`, `trap_cause`, `fault_cause` and `halt` are semantic:
     they decide what a slot retires as, whether it traps and whether the
@@ -118,6 +119,7 @@ class SlotMeta:
     events, and `mem_write`/`output` feed the retire log. `dyn_id`, `raw`,
     `mnemonic`, `iclass_name` and `ghost` only label traces, retire records
     and glitch captures. `Pipeline.state_key` holds the fields that count.
+    Every valid slot carries one; a stage derives the next with `_replace`.
     """
 
     dyn_id: int
@@ -134,9 +136,6 @@ class SlotMeta:
     ghost: bool = False
     word_corrupted: bool = False
     nop_recorded: bool = False
-
-    def clone(self) -> "SlotMeta":
-        return dataclasses.replace(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,31 +162,32 @@ class PipelineRun:
     corruptions: list
     mechanisms: list
     trace: list | None = None
-    latch_trace: list | None = None
 
     def retire_pcs(self) -> list[int]:
         return [e.pc for e in self.retires]
 
 
 class Pipeline:
-    """Mutable pipeline simulator; one call to clock() is one cycle."""
+    """Pipeline simulator; one call to clock() is one cycle.
+
+    Latch values and their metas are immutable, and they and the capture
+    profile are only ever rebound by a cycle or a glitch, so a fork shares
+    them.
+    """
 
     def __init__(self, program: Program, *,
                  timing: TimingModel | None = None, strict: bool = False,
-                 record_trace: bool = False, record_latches: bool = False):
+                 record_trace: bool = False):
         self.arch = load_program(program, strict)
         self.timing = timing
         self.fetch_pc = self.arch.pc
         self.cycle = 0
-        self.if_id = bubble("IF_ID")
-        self.id_ex = bubble("ID_EX")
-        self.ex_wb = bubble("EX_WB")
+        self.if_id = self.prev_if_id = _IF_ID_BUBBLE
+        self.id_ex = self.prev_id_ex = _ID_EX_BUBBLE
+        self.ex_wb = self.prev_ex_wb = _EX_WB_BUBBLE
         self.if_id_meta: SlotMeta | None = None
         self.id_ex_meta: SlotMeta | None = None
         self.ex_wb_meta: SlotMeta | None = None
-        self.prev_if_id = bubble("IF_ID")
-        self.prev_id_ex = bubble("ID_EX")
-        self.prev_ex_wb = bubble("EX_WB")
         self.prev_if_id_meta: SlotMeta | None = None
         self.prev_id_ex_meta: SlotMeta | None = None
         self.prev_ex_wb_meta: SlotMeta | None = None
@@ -202,53 +202,34 @@ class Pipeline:
         self.retires: list[StepEvent] = []
         self.corruptions: list[CorruptionEvent] = []
         self.mechanisms: list[MechanismEvent] = []
-        self.record_trace = record_trace
         self.trace: list[CycleTrace] | None = [] if record_trace else None
-        self.record_latches = record_latches
-        self.latch_trace: list | None = [] if record_latches else None
 
     # -- setup ---------------------------------------------------------------
 
     def schedule(self, spec: GlitchSpec) -> None:
         if self.timing is None:
             raise ValueError("glitch injection needs a timing model")
+        if spec.cycle < 0:
+            raise ValueError(f"glitch cycle must be at least 0, "
+                             f"got {spec.cycle}")
         if spec.cycle in self.glitches:
             raise ValueError(f"duplicate glitch for cycle {spec.cycle}")
         self.timing.check_offset(spec.offset_ns)
         self.glitches[spec.cycle] = spec
 
     def fork(self) -> "Pipeline":
-        """Cheap copy for what-if probing. Event logs restart empty; the
-        architectural state (including the output log) carries over."""
+        """Cheap copy for what-if probing. Latch values and metas are
+        shared; the architectural state (including the output log) is
+        copied, and glitches and event logs restart empty."""
 
         p = object.__new__(Pipeline)
+        p.__dict__.update(self.__dict__)
         p.arch = self.arch.copy()
-        p.timing = self.timing
-        p.fetch_pc = self.fetch_pc
-        p.cycle = self.cycle
-        p.if_id = dict(self.if_id)
-        p.id_ex = dict(self.id_ex)
-        p.ex_wb = dict(self.ex_wb)
-        p.prev_if_id = dict(self.prev_if_id)
-        p.prev_id_ex = dict(self.prev_id_ex)
-        p.prev_ex_wb = dict(self.prev_ex_wb)
-        for name in ("if_id_meta", "id_ex_meta", "ex_wb_meta",
-                     "prev_if_id_meta", "prev_id_ex_meta", "prev_ex_wb_meta"):
-            m = getattr(self, name)
-            setattr(p, name, m.clone() if m is not None else None)
-        p.captures = dict(self.captures)
-        p.ex_remaining = self.ex_remaining
-        p.fetch_stopped = self.fetch_stopped
-        p.illegal_policy = self.illegal_policy
         p.glitches = {}
-        p.dyn_counter = self.dyn_counter
         p.retires = []
         p.corruptions = []
         p.mechanisms = []
-        p.record_trace = False
         p.trace = None
-        p.record_latches = False
-        p.latch_trace = None
         return p
 
     def state_key(self) -> tuple:
@@ -283,8 +264,7 @@ class Pipeline:
     def result(self) -> PipelineRun:
         status = "HALTED" if self.arch.halted else "NOT_HALTED"
         return PipelineRun(self.arch, status, self.cycle, self.retires,
-                           self.corruptions, self.mechanisms,
-                           self.trace, self.latch_trace)
+                           self.corruptions, self.mechanisms, self.trace)
 
     def _next_dyn(self) -> int:
         self.dyn_counter += 1
@@ -298,11 +278,8 @@ class Pipeline:
         if self.arch.halted:
             return False
         cyc = self.cycle
-        if self.record_trace:
+        if self.trace is not None:
             self.trace.append(self._trace_entry())
-        if self.record_latches:
-            self.latch_trace.append(
-                (cyc, dict(self.if_id), dict(self.id_ex), dict(self.ex_wb)))
 
         spec = self.glitches.get(cyc)
         if spec is not None:
@@ -326,8 +303,8 @@ class Pipeline:
             self.prev_if_id_meta = self.if_id_meta
             self.prev_id_ex_meta = self.id_ex_meta
             self.captures = {
-                "IF_ID": (False, None, self.if_id["valid"]),
-                "ID_EX": (False, None, self.id_ex["valid"]),
+                "IF_ID": (False, None, self.if_id.valid),
+                "ID_EX": (False, None, self.id_ex.valid),
                 "EX_WB": (True, None, 0),
             }
             self.cycle = cyc + 1
@@ -338,21 +315,21 @@ class Pipeline:
             self._decode_stage(ex_forward, squash)
 
         if squash:
-            id_ex_next["valid"] = 0
+            id_ex_next = id_ex_next._replace(valid=0)
             stall = False
 
         # IF
         if squash or not stall:
             if kill_younger:
                 if_id_next, if_meta, if_class = self._fetch_slot()
-                if_id_next["valid"] = 0
+                if_id_next = if_id_next._replace(valid=0)
                 self.fetch_stopped = True
             elif redirect is not None:
                 if_id_next, if_meta, if_class = self._fetch_slot()
-                if_id_next["valid"] = 0
+                if_id_next = if_id_next._replace(valid=0)
                 self.fetch_pc = redirect
             elif self.fetch_stopped:
-                if_id_next, if_meta, if_class = bubble("IF_ID"), None, None
+                if_id_next, if_meta, if_class = _IF_ID_BUBBLE, None, None
             else:
                 if_id_next, if_meta, if_class = self._fetch_slot()
                 self.fetch_pc = (self.fetch_pc + 4) & MASK32
@@ -366,18 +343,18 @@ class Pipeline:
             # consumer waits in ID; IF_ID holds, nothing fetched
             self.prev_if_id = self.if_id
             self.prev_if_id_meta = self.if_id_meta
-            if_capture = (False, None, self.if_id["valid"])
+            if_capture = (False, None, self.if_id.valid)
         else:
             self.prev_if_id, self.if_id = self.if_id, if_id_next
             self.prev_if_id_meta, self.if_id_meta = self.if_id_meta, if_meta
-            if_capture = (True, if_class, if_id_next["valid"])
+            if_capture = (True, if_class, if_id_next.valid)
 
         self.captures = {
             "IF_ID": if_capture,
-            "ID_EX": (True, id_class, id_ex_next["valid"]),
+            "ID_EX": (True, id_class, id_ex_next.valid),
             "EX_WB": (True,
                       ex_wb_meta.iclass_name if ex_wb_meta else None,
-                      ex_wb_next["valid"]),
+                      ex_wb_next.valid),
         }
         self.cycle = cyc + 1
         return True
@@ -386,11 +363,9 @@ class Pipeline:
 
     def _writeback(self, cyc: int) -> None:
         ew = self.ex_wb
-        if not ew["valid"]:
+        if not ew.valid:
             return
         meta = self.ex_wb_meta
-        if meta is None:  # revived slot with no recorded origin
-            meta = SlotMeta(self._next_dyn())
         arch = self.arch
         if meta.trap_cause:
             self.retires.append(StepEvent(meta.pc, meta.pc, meta.raw,
@@ -399,11 +374,10 @@ class Pipeline:
             arch.halt_cause = meta.trap_cause
             arch.pc = meta.pc
             return
-        rd = ew["rd"] & 31
+        rd = ew.rd & 31
         reg_write = None
         if rd:
-            new = (ew["mem_data"] if ew["is_load"] & 1 else ew["result"]) \
-                & MASK32
+            new = (ew.mem_data if ew.is_load & 1 else ew.result) & MASK32
             reg_write = (rd, arch.regs[rd], new)
             arch.regs[rd] = new
         halt_cause = meta.halt[0] if meta.halt else None
@@ -421,10 +395,10 @@ class Pipeline:
         kill_younger)."""
 
         ie = self.id_ex
-        if not ie["valid"]:
-            return True, bubble("EX_WB"), None, None, None, False
+        if not ie.valid:
+            return True, _EX_WB_BUBBLE, None, None, None, False
 
-        ctl = ie["control"]
+        ctl = ie.control
         op4 = ctl & 15
         unit = (ctl >> 4) & 7
 
@@ -433,16 +407,14 @@ class Pipeline:
                 else 1
         self.ex_remaining -= 1
         if self.ex_remaining:
-            return False, bubble("EX_WB"), None, None, None, False
+            return False, _EX_WB_BUBBLE, None, None, None, False
 
         meta = self.id_ex_meta
-        if meta is None:
-            meta = SlotMeta(self._next_dyn(), pc=ie["pc"])
-        rs1 = ie["rs1_val"]
-        rs2 = ie["rs2_val"]
-        imm = ie["imm"]
-        rd = ie["rd"] & 31 if ctl & F_REG_WRITE else 0
-        pc = ie["pc"] & MASK32
+        rs1 = ie.rs1_val
+        rs2 = ie.rs2_val
+        imm = ie.imm
+        rd = ie.rd & 31 if ctl & F_REG_WRITE else 0
+        pc = ie.pc & MASK32
         subop = (ctl >> 9) & 1
         sys2 = (ctl >> 10) & 3
 
@@ -509,24 +481,14 @@ class Pipeline:
                     if op4 < len(TRAP_CARRIER_CAUSES) else "ILLEGAL"
                 trap = meta.fault_cause or cause
 
-        out_meta = meta.clone()
-        out_meta.pc = pc
         if trap:
-            out_meta.trap_cause = trap
-            out_meta.next_pc = pc
-            out_meta.mem_write = None
-            out_meta.output = None
-            out_meta.halt = None
-            slot = {"result": 0, "rd": 0, "is_load": 0, "mem_data": 0,
-                    "valid": 1}
-            return True, slot, out_meta, None, None, True
+            out_meta = meta._replace(pc=pc, trap_cause=trap, next_pc=pc,
+                                     mem_write=None, output=None, halt=None)
+            return True, ExWb(0, 0, 0, 0, 1), out_meta, None, None, True
 
-        out_meta.next_pc = next_pc
-        out_meta.mem_write = mem_write
-        out_meta.output = output
-        out_meta.halt = halt
-        slot = {"result": result, "rd": rd,
-                "is_load": is_load, "mem_data": mem_data, "valid": 1}
+        out_meta = meta._replace(pc=pc, next_pc=next_pc, mem_write=mem_write,
+                                 output=output, halt=halt)
+        slot = ExWb(result, rd, is_load, mem_data, 1)
         forward = (rd, result) if rd and not is_load else None
         return True, slot, out_meta, forward, redirect, halt is not None
 
@@ -534,47 +496,34 @@ class Pipeline:
         """Returns (id_ex_next, meta, capture class, stall)."""
 
         f = self.if_id
-        if not f["valid"]:
-            return bubble("ID_EX"), None, None, False
+        if not f.valid:
+            return _ID_EX_BUBBLE, None, None, False
         meta = self.if_id_meta
-        if meta is None:
-            meta = SlotMeta(self._next_dyn())
-        word = f["instr_word"]
-        pc = f["pc"] & MASK32
+        word = f.instr_word
+        pc = f.pc & MASK32
 
         if meta.fault_cause:
-            slot = {"control": trap_carrier_control(meta.fault_cause),
-                    "rs1_val": 0, "rs2_val": 0, "imm": 0, "rd": 0,
-                    "pc": pc, "valid": 1}
-            out = meta.clone()
-            out.pc = pc
-            out.iclass_name = "SYSTEM"
+            slot = IdEx(trap_carrier_control(meta.fault_cause),
+                        0, 0, 0, 0, pc, 1)
+            out = meta._replace(pc=pc, iclass_name="SYSTEM")
             return slot, out, "SYSTEM", False
 
         d = cached_decode(word)
-        mnemonic = ""
         if isinstance(d, Illegal):
             if self.illegal_policy is IllegalPolicy.NOP_REPLACE:
                 if meta.word_corrupted and not meta.nop_recorded:
-                    meta.nop_recorded = True
+                    self.if_id_meta = meta = meta._replace(nop_recorded=True)
                     self.mechanisms.append(MechanismEvent(
                         "NOP_REPLACEMENT", self.cycle, pc,
                         f"word 0x{word:08X}"))
                 d = cached_decode(NOP_WORD)
-                mnemonic = d.mnemonic
             else:
-                slot = {"control": trap_carrier_control("ILLEGAL"),
-                        "rs1_val": 0, "rs2_val": 0, "imm": 0, "rd": 0,
-                        "pc": pc, "valid": 1}
-                out = meta.clone()
-                out.pc = pc
-                out.raw = word
-                out.mnemonic = ""
-                out.iclass_name = "SYSTEM"
-                out.fault_cause = "ILLEGAL"
+                slot = IdEx(trap_carrier_control("ILLEGAL"), 0, 0, 0, 0, pc, 1)
+                out = meta._replace(pc=pc, raw=word, mnemonic="",
+                                    iclass_name="SYSTEM",
+                                    fault_cause="ILLEGAL")
                 return slot, out, "SYSTEM", False
-        else:
-            mnemonic = d.mnemonic
+        mnemonic = d.mnemonic
 
         control = CONTROL[mnemonic]
         use_rs1 = mnemonic not in _NO_RS1
@@ -584,13 +533,13 @@ class Pipeline:
         if not squash:
             # one-cycle gap after a load producing a consumed register
             ex = self.id_ex
-            if ex["valid"]:
-                ectl = ex["control"]
+            if ex.valid:
+                ectl = ex.control
                 if ((ectl >> 4) & 7 == UNIT_LOAD and ectl & F_REG_WRITE):
-                    lrd = ex["rd"] & 31
+                    lrd = ex.rd & 31
                     if lrd and ((use_rs1 and d.rs1 == lrd)
                                 or (use_rs2 and d.rs2 == lrd)):
-                        return bubble("ID_EX"), None, None, True
+                        return _ID_EX_BUBBLE, None, None, True
 
         regs = self.arch.regs
 
@@ -599,42 +548,36 @@ class Pipeline:
                 return ex_forward[1]
             return regs[r]
 
-        slot = {
-            "control": control,
-            "rs1_val": operand(d.rs1) if use_rs1 else 0,
-            "rs2_val": operand(d.rs2) if use_rs2 else 0,
-            "imm": d.imm & MASK32,
-            "rd": d.rd if control & F_REG_WRITE else 0,
-            "pc": pc,
-            "valid": 1,
-        }
-        out = meta.clone()
-        out.pc = pc
-        out.raw = word
-        out.mnemonic = mnemonic
-        out.iclass_name = d.iclass.value
-        return slot, out, d.iclass.value, False
+        slot = IdEx(control,
+                    operand(d.rs1) if use_rs1 else 0,
+                    operand(d.rs2) if use_rs2 else 0,
+                    d.imm & MASK32,
+                    d.rd if control & F_REG_WRITE else 0,
+                    pc, 1)
+        iclass = d.iclass.value
+        out = meta._replace(pc=pc, raw=word, mnemonic=mnemonic,
+                            iclass_name=iclass)
+        return slot, out, iclass, False
 
     def _fetch_slot(self):
         """Build the IF_ID slot for the word being fetched this cycle."""
 
         pc = self.fetch_pc & MASK32
-        meta = SlotMeta(self._next_dyn(), pc=pc)
+        dyn_id = self._next_dyn()
         if pc & 3:
-            meta.fault_cause = "MISALIGNED_FETCH"
-            return ({"instr_word": 0, "pc": pc, "valid": 1}, meta, "SYSTEM")
+            return (IfId(0, pc, 1),
+                    SlotMeta(dyn_id, pc, fault_cause="MISALIGNED_FETCH"),
+                    "SYSTEM")
         word = self.arch.mem.get(pc >> 2)
         if word is None:
-            meta.fault_cause = "FETCH_FAULT"
-            return ({"instr_word": 0, "pc": pc, "valid": 1}, meta, "SYSTEM")
-        meta.raw = word
+            return (IfId(0, pc, 1),
+                    SlotMeta(dyn_id, pc, fault_cause="FETCH_FAULT"), "SYSTEM")
         d = cached_decode(word)
         if isinstance(d, Illegal):
-            iclass = "SYSTEM"
-        else:
-            iclass = d.iclass.value
-            meta.mnemonic = d.mnemonic
-        return ({"instr_word": word, "pc": pc, "valid": 1}, meta, iclass)
+            return IfId(word, pc, 1), SlotMeta(dyn_id, pc, raw=word), "SYSTEM"
+        return (IfId(word, pc, 1),
+                SlotMeta(dyn_id, pc, raw=word, mnemonic=d.mnemonic),
+                d.iclass.value)
 
     # -- glitch application ----------------------------------------------------
 
@@ -642,45 +585,37 @@ class Pipeline:
         caps = {}
         for latch, (cur_name, prev_name) in _LATCH_ATTRS.items():
             fresh, iclass, _valid = self.captures[latch]
-            cur = getattr(self, cur_name)
             meta = getattr(self, cur_name + "_meta")
             caps[latch] = LatchCapture(
-                latch, fresh, iclass, cur, getattr(self, prev_name),
-                meta.pc if meta is not None else cur.get("pc"))
+                latch, fresh, iclass, getattr(self, cur_name),
+                getattr(self, prev_name), meta.pc if meta else None)
         changed = False
         for latch, events in plan_effect(spec, caps, self.timing).items():
             self.corruptions.extend(events)
             changed = changed or any(e.changed for e in events)
             cur_name, prev_name = _LATCH_ATTRS[latch]
-            target = getattr(self, cur_name)
-            clean_word = target.get("instr_word")
-            for e in events:
-                target[e.field] = e.corrupted
-            meta_name = cur_name + "_meta"
+            clean = getattr(self, cur_name)
+            target = clean._replace(**{e.field: e.corrupted for e in events})
+            setattr(self, cur_name, target)
+            meta = getattr(self, cur_name + "_meta")
             if events[0].ghost:
-                stale = getattr(self, prev_name + "_meta")
-                meta = stale.clone() if stale else \
-                    SlotMeta(self._next_dyn(), pc=target.get("pc", 0))
-                meta.ghost = True
-                setattr(self, meta_name, meta)
+                # only a stale valid bit of 1 revives a slot, so the
+                # previous slot carried a meta
+                meta = getattr(self, prev_name + "_meta")._replace(ghost=True)
                 self.mechanisms.append(MechanismEvent(
                     "GHOST_INSTRUCTION", spec.cycle,
-                    target.get("pc", meta.pc), latch))
-            if latch == "IF_ID" and target["valid"]:
-                new_word = target["instr_word"]
-                if new_word != clean_word:
-                    meta = getattr(self, meta_name)
-                    if meta is None:
-                        meta = SlotMeta(self._next_dyn(), pc=target["pc"])
-                        setattr(self, meta_name, meta)
-                    meta.word_corrupted = True
-                    meta.raw = new_word
-                    nd = cached_decode(new_word)
-                    if isinstance(nd, Instruction):
-                        self.mechanisms.append(MechanismEvent(
-                            "MUTATED_INSTRUCTION", spec.cycle, target["pc"],
-                            f"0x{clean_word:08X}->0x{new_word:08X} "
-                            f"({nd.mnemonic})"))
+                    getattr(target, "pc", meta.pc), latch))
+            if latch == "IF_ID" and target.valid \
+                    and target.instr_word != clean.instr_word:
+                new_word = target.instr_word
+                meta = meta._replace(word_corrupted=True, raw=new_word)
+                nd = cached_decode(new_word)
+                if isinstance(nd, Instruction):
+                    self.mechanisms.append(MechanismEvent(
+                        "MUTATED_INSTRUCTION", spec.cycle, target.pc,
+                        f"0x{clean.instr_word:08X}->0x{new_word:08X} "
+                        f"({nd.mnemonic})"))
+            setattr(self, cur_name + "_meta", meta)
         if changed:
             # a glitch that changes no latch leaves the run glitch-free
             self.illegal_policy = spec.illegal_policy
@@ -689,18 +624,11 @@ class Pipeline:
 
     def _trace_entry(self) -> CycleTrace:
         occ: dict[str, tuple | None] = {}
-        fm = self.if_id_meta
-        occ["ID"] = (self.if_id["pc"], fm.mnemonic if fm else "",
-                     fm.iclass_name if fm else None,
-                     fm.dyn_id if fm else -1) if self.if_id["valid"] else None
-        em = self.id_ex_meta
-        occ["EX"] = (self.id_ex["pc"], em.mnemonic if em else "",
-                     em.iclass_name if em else None,
-                     em.dyn_id if em else -1) if self.id_ex["valid"] else None
-        wm = self.ex_wb_meta
-        occ["WB"] = (wm.pc if wm else 0, wm.mnemonic if wm else "",
-                     wm.iclass_name if wm else None,
-                     wm.dyn_id if wm else -1) if self.ex_wb["valid"] else None
+        for stage, slot, m in (("ID", self.if_id, self.if_id_meta),
+                               ("EX", self.id_ex, self.id_ex_meta),
+                               ("WB", self.ex_wb, self.ex_wb_meta)):
+            occ[stage] = (getattr(slot, "pc", m.pc), m.mnemonic,
+                          m.iclass_name, m.dyn_id) if slot.valid else None
         if self.fetch_stopped or self.arch.halted:
             occ["IF"] = None
         else:
@@ -713,25 +641,23 @@ class Pipeline:
                 occ["IF"] = (pc, getattr(d, "mnemonic", ""),
                              d.iclass.value if isinstance(d, Instruction)
                              else None, -1)
-        return CycleTrace(self.cycle, occ, dict(self.captures))
+        return CycleTrace(self.cycle, occ, self.captures)
 
 
-def _slot_key(slot: dict, meta: SlotMeta | None) -> tuple | None:
-    if not slot["valid"]:
+def _slot_key(slot: tuple, meta: SlotMeta) -> tuple | None:
+    if not slot.valid:
         return None
-    if meta is None:
-        return tuple(slot.items()), None
-    return tuple(slot.items()), (
+    return slot, (
         meta.pc, meta.trap_cause, meta.fault_cause, meta.halt, meta.next_pc,
         meta.word_corrupted, meta.nop_recorded, meta.mem_write, meta.output)
 
 
 def run_pipeline(program: Program, *, timing: TimingModel | None = None,
                  glitches=(), max_cycles: int = 1_000_000,
-                 strict: bool = False, record_trace: bool = False,
-                 record_latches: bool = False) -> PipelineRun:
+                 strict: bool = False, record_trace: bool = False
+                 ) -> PipelineRun:
     p = Pipeline(program, timing=timing, strict=strict,
-                 record_trace=record_trace, record_latches=record_latches)
+                 record_trace=record_trace)
     for spec in glitches:
         p.schedule(spec)
     p.run(max_cycles)

@@ -30,12 +30,10 @@ N_INPUTS = 32
 
 # data placement inside the guest image
 L1_BASE = 0x400
-L2_BASE = L1_BASE + N_HIDDEN * 12
 INPUT_BASE = 0x600
 INPUT_SYMBOL = "input_data"
 
 _MASK64 = (1 << 64) - 1
-_MASK16 = (1 << 16) - 1
 
 
 @dataclass(frozen=True)

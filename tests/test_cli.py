@@ -1,8 +1,15 @@
 """Command line surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import glitchbench
 
 from glitchbench.cli import main
 from glitchbench.campaign import build_plan, run_campaign
@@ -59,6 +66,62 @@ def test_missing_program_exits_2(capsys):
                    "--offset", "5.0", "--policy", "bogus") == 2
     err = capsys.readouterr().err
     assert "unknown corruption policy" in err
+
+
+def cli_subprocess(*argv):
+    """(exit code, stderr) of the command line run in its own interpreter,
+    so that an uncaught exception shows as a traceback."""
+
+    src = str(Path(glitchbench.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "glitchbench.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stderr
+
+
+SEGMENT = bytes(range(8))
+MALFORMED_MANIFESTS = {
+    "not_an_object": [1, 2],
+    "segments_not_a_list": {"entry": 0, "segments": 5},
+    "entry_not_an_integer": {"entry": "x", "segments": []},
+    "base_not_an_integer": {"entry": 0, "segments": [
+        {"base": "0", "file": "seg", "len": len(SEGMENT),
+         "sha256": hashlib.sha256(SEGMENT).hexdigest()}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_image_manifest_exits_2(case, tmp_path):
+    (tmp_path / "seg").write_bytes(SEGMENT)
+    manifest = tmp_path / "image.json"
+    manifest.write_text(json.dumps(MALFORMED_MANIFESTS[case]))
+    code, err = cli_subprocess("run", str(manifest))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "error:" in err
+
+
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory):
+    rep = tmp_path_factory.mktemp("report") / "rep.json"
+    assert main(["campaign", "--workload", "mb_system", "--cycles", "2:4",
+                 "--offset-range", "3.0:8.0:1.0", "-o", str(rep)]) == 0
+    return rep
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rat", "--workload", "mb_system", "--verify", "--max-windows", "-1"),
+     "--max-windows must be at least 0"),
+    (("report", "REPORT", "--top", "-1"), "--top must be at least 0"),
+    (("inject", "--workload", "mb_system", "--cycle", "-1",
+      "--offset", "5.0"), "glitch cycle must be at least 0"),
+])
+def test_negative_counts_and_cycles_exit_2(argv, message, small_report,
+                                           capsys):
+    capsys.readouterr()
+    argv = [str(small_report) if a == "REPORT" else a for a in argv]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_not_halted_exits_3(tmp_path, capsys):

@@ -11,11 +11,10 @@ TM = reference_timing()
 
 
 def cap(latch, iclass, incoming, previous, fresh=True):
-    inc = bubble(latch)
-    inc.update(incoming)
-    prev = bubble(latch)
-    prev.update(previous)
-    return LatchCapture(latch, fresh, iclass, inc, prev, inc.get("pc"))
+    inc = bubble(latch)._replace(**incoming)
+    prev = bubble(latch)._replace(**previous)
+    return LatchCapture(latch, fresh, iclass, inc, prev,
+                        getattr(inc, "pc", None))
 
 
 def values(events):
@@ -40,9 +39,9 @@ def test_safe_offset_touches_nothing():
 
 def test_held_and_idle_latches_immune():
     held = LatchCapture("IF_ID", False, "LOAD",
-                        dict(bubble("IF_ID")), dict(bubble("IF_ID")), 0)
+                        bubble("IF_ID"), bubble("IF_ID"), 0)
     idle = LatchCapture("ID_EX", True, None,
-                        dict(bubble("ID_EX")), dict(bubble("ID_EX")), None)
+                        bubble("ID_EX"), bubble("ID_EX"), None)
     eff = plan_effect(GlitchSpec(0, 1.0), {"IF_ID": held, "ID_EX": idle}, TM)
     assert eff == {}
 
@@ -94,7 +93,7 @@ def test_stale_register_reverts_whole_latch():
     eff = plan_effect(spec, one_latch([c]), TM)
     events = eff["ID_EX"]
     assert [e.field for e in events] == list(field_names("ID_EX"))
-    assert values(events) == c.previous
+    assert values(events) == c.previous._asdict()
     assert any(e.late_bits for e in events)
     assert all(e.pc == 8 for e in events)
 

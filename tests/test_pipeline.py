@@ -3,10 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from proggen import random_source
 from glitchbench.asm import assemble
+from glitchbench.campaign import build_plan
 from glitchbench.glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from glitchbench.machine import run_golden
-from glitchbench.pipeline import Pipeline, run_pipeline
+from glitchbench.pipeline import Pipeline, SlotMeta, run_pipeline
 from glitchbench.timing import TimingError, reference_timing
+from glitchbench.workloads import workload_names, workload_program
 
 TM = reference_timing()
 
@@ -227,6 +229,8 @@ def test_schedule_validation():
         p.schedule(GlitchSpec(3, 6.0))
     with pytest.raises(TimingError):
         p.schedule(GlitchSpec(4, 0.2))
+    with pytest.raises(ValueError, match="at least 0"):
+        p.schedule(GlitchSpec(-1, 5.0))
 
 
 def test_glitch_free_cycles_have_no_events():
@@ -352,6 +356,65 @@ def test_fork_glitch_probe_matches_full_run():
     assert f.corruptions == full.corruptions
     assert f.mechanisms == full.mechanisms
     assert f.arch.same_arch(full.arch)
+
+
+MB_NAMES = [name for name in workload_names() if name.startswith("mb_")]
+SLOTS = ("if_id", "id_ex", "ex_wb", "prev_if_id", "prev_id_ex", "prev_ex_wb")
+
+
+@pytest.mark.parametrize("policy", list(CorruptionPolicy))
+def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
+    """Stages read a valid slot's meta without a fallback. Every point of
+    the default grid of every mb_* program, one glitched cycle each."""
+
+    kinds = set()
+    for name in MB_NAMES:
+        plan, _ = build_plan(workload_program(name), TM, policy=policy)
+        base = Pipeline(plan.program, timing=TM)
+        for cycle in plan.cycles:
+            for k in range(plan.offset_count):
+                f = base.fork()
+                f.schedule(GlitchSpec(cycle, plan.offset(k), policy))
+                f.clock()
+                kinds |= {m.kind for m in f.mechanisms}
+                for slot in SLOTS:
+                    assert not getattr(f, slot).valid or isinstance(
+                        getattr(f, slot + "_meta"), SlotMeta), \
+                        (name, cycle, k, slot)
+            base.clock()
+    # stale policies revive slots from the previous slot's meta
+    assert ("GHOST_INSTRUCTION" in kinds) == \
+        (policy is not CorruptionPolicy.ZERO_LATE_BITS)
+    assert "MUTATED_INSTRUCTION" in kinds
+
+
+def test_forks_leave_the_parent_untouched():
+    """127 glitched forks of one cycle, each run to halt or hang, share the
+    parent's latch values and metas without changing them."""
+
+    pairs = [(p, i) for p in CorruptionPolicy for i in IllegalPolicy]
+    kinds = set()
+    for n, name in enumerate(MB_NAMES):
+        plan, golden = build_plan(workload_program(name), TM)
+        for j, cycle in enumerate(range(0, golden.cycles, 7)):
+            policy, illegal = pairs[(n + j) % len(pairs)]
+            parent = Pipeline(plan.program, timing=TM)
+            fresh = Pipeline(plan.program, timing=TM)
+            while parent.cycle < cycle:
+                parent.clock()
+                fresh.clock()
+            for k in range(plan.offset_count):
+                f = parent.fork()
+                assert all(getattr(f, a) is getattr(parent, a)
+                           for slot in SLOTS for a in (slot, slot + "_meta"))
+                f.schedule(GlitchSpec(cycle, plan.offset(k), policy, illegal))
+                f.clock()
+                f.run(golden.cycles * plan.hang_factor)
+                kinds |= {m.kind for m in f.mechanisms}
+            assert vars(parent) == vars(fresh), (name, cycle)
+            assert parent.state_key() == fresh.state_key()
+    assert kinds == {"GHOST_INSTRUCTION", "MUTATED_INSTRUCTION",
+                     "NOP_REPLACEMENT"}
 
 
 def test_corruption_confined_to_glitch_cycle():
