@@ -365,7 +365,7 @@ class Assembler:
                              rs1=self._reg(ops[1], ln, col),
                              imm=self._eval(ops[2], ln, col))
         if fmt == "I":
-            if mnem in ("lb", "lh", "lw", "lbu", "lhu", "jalr"):
+            if mnem in isa.MEM_OPERAND:
                 need(2)
                 off, rs1 = self._mem_operand(ops[1], ln, col)
                 return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),

@@ -13,6 +13,7 @@ produces float-identical records and a byte-identical report.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,29 +46,45 @@ CSV_HEADER = ("index,cycle,offset_ns,outcome,effect,mechanisms,corrupted,"
               "root_cause,root_pc,misclassified,cycles,halt_cause,output")
 
 
-@dataclass(frozen=True)
-class GoldenBaseline:
-    """Glitch-free pipeline run, reduced to what classification needs."""
+@dataclass(frozen=True, slots=True)
+class RunSummary:
+    """A pipeline run reduced to what classification reads: how it ended,
+    the pcs it retired and the mechanism kinds it raised (from some point
+    of the run on), and its final state."""
 
+    status: str
     cycles: int
-    halt_cause: str | None
-    exit_code: int | None
-    output: tuple[int, ...]
     pcs: tuple[int, ...]
+    mechanisms: frozenset
+    output: tuple[int, ...]
     regs: tuple[int, ...]
     mem: tuple[tuple[int, int], ...]  # sorted nonzero words
+    halt_cause: str | None
+    exit_code: int | None
 
 
-def golden_baseline(program: Program, *, max_cycles: int = 1_000_000) -> GoldenBaseline:
+def summarize(run: PipelineRun, n_retires: int = 0,
+              n_mechanisms: int = 0) -> RunSummary:
+    """Summary of `run` from its `n_retires`-th retire and
+    `n_mechanisms`-th mechanism on."""
+
+    arch = run.arch
+    return RunSummary(run.status, run.cycles,
+                      tuple(e.pc for e in run.retires[n_retires:]),
+                      frozenset(m.kind for m in run.mechanisms[n_mechanisms:]),
+                      tuple(arch.output_log), tuple(arch.regs),
+                      tuple(sorted((a, v) for a, v in arch.mem.items() if v)),
+                      arch.halt_cause, arch.exit_code)
+
+
+def golden_baseline(program: Program, *, max_cycles: int = 1_000_000) -> RunSummary:
+    """Summary of the glitch-free run, which must halt."""
+
     run = run_pipeline(program, max_cycles=max_cycles)
     if run.status != "HALTED":
         raise ValueError(
             f"program does not halt within {max_cycles} cycles glitch-free")
-    arch = run.arch
-    mem = tuple(sorted((a, v) for a, v in arch.mem.items() if v))
-    return GoldenBaseline(run.cycles, arch.halt_cause, arch.exit_code,
-                          tuple(arch.output_log), tuple(run.retire_pcs()),
-                          tuple(arch.regs), mem)
+    return summarize(run)
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,8 @@ class CampaignPlan:
 def offset_grid(lo: float, hi: float, step: float) -> tuple[float, float, int]:
     """(lo, step, count) covering [lo, hi] inclusive of a landing endpoint."""
 
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"offset range {lo}:{hi}:{step} must be finite")
     if step <= 0:
         raise ValueError("offset step must be positive")
     if hi < lo:
@@ -116,15 +135,16 @@ def build_plan(program: Program, timing: TimingModel, *,
                policy: CorruptionPolicy = CorruptionPolicy.STALE_BITS,
                illegal_policy: IllegalPolicy = IllegalPolicy.NOP_REPLACE,
                label: str = "program",
-               max_cycles: int = 1_000_000) -> tuple[CampaignPlan, GoldenBaseline]:
+               max_cycles: int = 1_000_000) -> tuple[CampaignPlan, RunSummary]:
     """Fill grid defaults from the glitch-free run and validate bounds."""
 
     golden = golden_baseline(program, max_cycles=max_cycles)
     if cycles is None:
         cycles = (0, golden.cycles)
     lo_c, hi_c = cycles
-    if not 0 <= lo_c < hi_c:
-        raise ValueError(f"bad cycle range {lo_c}:{hi_c}")
+    if not 0 <= lo_c < hi_c <= golden.cycles:
+        raise ValueError(f"bad cycle range {lo_c}:{hi_c} (the glitch-free "
+                         f"run has {golden.cycles} cycles)")
     if offsets is None:
         t = timing
         offsets = (t.min_glitch_ns, t.clock_period_ns - 2 * t.setup_ns, 0.5)
@@ -212,7 +232,7 @@ def first_divergence(golden_pcs, faulty_pcs, changed_events,
     return {"seed": seed, "retire_mismatches": mismatches}
 
 
-def classify_outcome(golden: GoldenBaseline, *, status: str,
+def classify_outcome(golden: RunSummary, *, status: str,
                      pcs: tuple[int, ...], output: tuple[int, ...],
                      regs: tuple[int, ...], mem: tuple[tuple[int, int], ...],
                      halt_cause: str | None, exit_code: int | None,
@@ -242,44 +262,9 @@ def classify_outcome(golden: GoldenBaseline, *, status: str,
     return outcome, effect, misclassified
 
 
-def _no_effect_record(plan: CampaignPlan, golden: GoldenBaseline,
-                      cycle: int, k: int) -> OutcomeRecord:
-    return OutcomeRecord(plan.index(cycle, k), cycle, k, plan.offset(k),
-                         NO_EFFECT, NO_EFFECT, (), (), "", "", None, False,
-                         golden.cycles, golden.halt_cause, golden.exit_code,
-                         golden.output, None)
-
-
-@dataclass(frozen=True, slots=True)
-class _Tail:
-    """A run from some cycle on: how it ended, the pcs it retired and the
-    mechanism kinds it raised from that cycle, and its final state."""
-
-    status: str
-    cycles: int
-    pcs: tuple[int, ...]
-    mechanisms: frozenset
-    output: tuple[int, ...]
-    regs: tuple[int, ...]
-    mem: tuple[tuple[int, int], ...]  # sorted nonzero words
-    halt_cause: str | None
-    exit_code: int | None
-
-
-def _tail(run: PipelineRun, n_retires: int = 0,
-          n_mechanisms: int = 0) -> _Tail:
-    arch = run.arch
-    return _Tail(run.status, run.cycles,
-                 tuple(e.pc for e in run.retires[n_retires:]),
-                 frozenset(m.kind for m in run.mechanisms[n_mechanisms:]),
-                 tuple(arch.output_log), tuple(arch.regs),
-                 tuple(sorted((a, v) for a, v in arch.mem.items() if v)),
-                 arch.halt_cause, arch.exit_code)
-
-
-def _record(plan: CampaignPlan, golden: GoldenBaseline, cycle: int, k: int,
+def _record(plan: CampaignPlan, golden: RunSummary, cycle: int, k: int,
             changed: list, pcs: tuple[int, ...], mechanisms: set,
-            tail: _Tail) -> OutcomeRecord:
+            tail: RunSummary) -> OutcomeRecord:
     """Classify grid point (cycle, k) from the retires and mechanisms that
     precede `tail`, and `tail` itself."""
 
@@ -304,7 +289,7 @@ def _record(plan: CampaignPlan, golden: GoldenBaseline, cycle: int, k: int,
         tail.output, divergence)
 
 
-def from_reset_record(plan: CampaignPlan, golden: GoldenBaseline,
+def from_reset_record(plan: CampaignPlan, golden: RunSummary,
                       cycle: int, k: int) -> tuple[OutcomeRecord, PipelineRun]:
     """Grid point (cycle, k) the plain way: (record, from-reset run).
 
@@ -317,10 +302,10 @@ def from_reset_record(plan: CampaignPlan, golden: GoldenBaseline,
                        max_cycles=golden.cycles * plan.hang_factor)
     changed = [e for e in run.corruptions if e.changed]
     return _record(plan, golden, cycle, k, changed, (), set(),
-                   _tail(run)), run
+                   summarize(run)), run
 
 
-def _probe(plan: CampaignPlan, golden: GoldenBaseline, baseline: Pipeline,
+def _probe(plan: CampaignPlan, golden: RunSummary, baseline: Pipeline,
            base_pcs: tuple[int, ...], cycle: int, k: int, budget: int,
            memo: dict) -> OutcomeRecord:
     fork = baseline.fork()
@@ -330,8 +315,8 @@ def _probe(plan: CampaignPlan, golden: GoldenBaseline, baseline: Pipeline,
     changed = [e for e in fork.corruptions if e.changed]
     if not changed:
         # the shortened cycle met timing everywhere that mattered; the
-        # continuation is bit-identical to the clean run, skip simulating it
-        return _no_effect_record(plan, golden, cycle, k)
+        # run goes on as the golden run, skip simulating it
+        return _record(plan, golden, cycle, k, [], (), set(), golden)
 
     # the continuation depends only on the post-glitch state: simulate each
     # distinct state once and splice it onto this point's own prefix
@@ -342,11 +327,11 @@ def _probe(plan: CampaignPlan, golden: GoldenBaseline, baseline: Pipeline,
     if tail is None:
         n_retires, n_mechanisms = len(fork.retires), len(fork.mechanisms)
         fork.run(budget)
-        tail = memo[key] = _tail(fork.result(), n_retires, n_mechanisms)
+        tail = memo[key] = summarize(fork.result(), n_retires, n_mechanisms)
     return _record(plan, golden, cycle, k, changed, pcs, mechanisms, tail)
 
 
-def _simulate_cycles(plan: CampaignPlan, golden: GoldenBaseline,
+def _simulate_cycles(plan: CampaignPlan, golden: RunSummary,
                      cycles: list[int]) -> list[OutcomeRecord]:
     """One rolling baseline, forked once per grid point."""
 
@@ -375,7 +360,7 @@ def _worker(args) -> list[OutcomeRecord]:
 @dataclass
 class CampaignResult:
     plan: CampaignPlan
-    golden: GoldenBaseline
+    golden: RunSummary
     records: list[OutcomeRecord] = field(default_factory=list)
 
     def summary(self) -> dict:
@@ -454,6 +439,9 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     """
 
     golden = golden_baseline(program, max_cycles=max_cycles)
+    if spec.cycle >= golden.cycles:
+        raise ValueError(f"glitch cycle {spec.cycle} is not before the end "
+                         f"of the {golden.cycles}-cycle glitch-free run")
     plan = CampaignPlan(program, timing, spec.cycle, spec.cycle + 1,
                         spec.offset_ns, 1.0, 1, spec.policy,
                         spec.illegal_policy, label="inject")
@@ -461,7 +449,7 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     return record, full, golden
 
 
-def run_campaign(plan: CampaignPlan, golden: GoldenBaseline | None = None,
+def run_campaign(plan: CampaignPlan, golden: RunSummary | None = None,
                  *, jobs: int = 1) -> CampaignResult:
     if golden is None:
         golden = golden_baseline(plan.program)

@@ -321,35 +321,45 @@ def cmd_report(args) -> int:
     if args.top < 0:
         raise _InputError(f"--top must be at least 0, got {args.top}")
     rep = json.loads(Path(args.report).read_text())
+    try:
+        text = _report_text(rep, args.top)
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise _InputError(f"{args.report} is not a campaign report: {exc}")
+    print(text, end="")
+    return EXIT_OK
+
+
+def _report_text(rep: dict, top: int) -> str:
     grid = rep["grid"]
     summary = rep["summary"]
-    print(f"{rep['label']}: cycles [{grid['cycle_lo']}, {grid['cycle_hi']}) "
-          f"x {grid['offset_count']} offsets = {grid['points']} points, "
-          f"policy {rep['policy']}/{rep['illegal_policy']}")
+    lines = [f"{rep['label']}: cycles [{grid['cycle_lo']}, {grid['cycle_hi']}) "
+             f"x {grid['offset_count']} offsets = {grid['points']} points, "
+             f"policy {rep['policy']}/{rep['illegal_policy']}"]
     gold = rep["golden"]
-    print(f"golden: {gold['cycles']} cycles, cause {gold['halt_cause']}, "
-          f"output {gold['output']}")
-    print("outcomes:")
+    lines.append(f"golden: {gold['cycles']} cycles, cause {gold['halt_cause']}, "
+                 f"output {gold['output']}")
+    lines.append("outcomes:")
     for outcome, n in sorted(summary["outcomes"].items(),
                              key=lambda kv: -kv[1]):
-        print(f"  {outcome:24s} {n:7d}  {100 * n / grid['points']:5.1f}%")
+        lines.append(f"  {outcome:24s} {n:7d}  "
+                     f"{100 * n / grid['points']:5.1f}%")
     if summary["mechanisms"]:
-        print("mechanisms observed:", ", ".join(
+        lines.append("mechanisms observed: " + ", ".join(
             f"{k} x{v}" for k, v in sorted(summary["mechanisms"].items())))
     ranked = sorted(summary["by_pc"].items(),
                     key=lambda kv: -sum(kv[1].values()))
     if ranked:
-        print(f"most-hit victim pcs (top {args.top}):")
-        for pc, outcomes in ranked[:args.top]:
+        lines.append(f"most-hit victim pcs (top {top}):")
+        for pc, outcomes in ranked[:top]:
             total = sum(outcomes.values())
             detail = ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items()))
-            print(f"  {pc:>10s} {total:6d}  ({detail})")
+            lines.append(f"  {pc:>10s} {total:6d}  ({detail})")
     if summary["by_stage_class"]:
-        print("by consumer stage / instruction class:")
+        lines.append("by consumer stage / instruction class:")
         for key, outcomes in sorted(summary["by_stage_class"].items()):
             total = sum(outcomes.values())
-            print(f"  {key:16s} {total:6d}")
-    return EXIT_OK
+            lines.append(f"  {key:16s} {total:6d}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_workloads(args) -> int:
@@ -465,13 +475,11 @@ def main(argv=None) -> int:
         return e.code or 0
     try:
         return args.func(args)
-    except (_InputError, AsmError, ImageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except TimingError as exc:
         print(f"error: bad timing model: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (_InputError, AsmError, ImageError, OSError, json.JSONDecodeError,
+            KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

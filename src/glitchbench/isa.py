@@ -114,37 +114,43 @@ ENCODINGS = {
     "ebreak": ("E", OP_SYSTEM, 0, None),
 }
 
-CLASS_OF = {
-    "lui": IClass.UPPER, "auipc": IClass.UPPER,
-    "jal": IClass.JUMP, "jalr": IClass.JUMP,
-    "beq": IClass.BRANCH, "bne": IClass.BRANCH, "blt": IClass.BRANCH,
-    "bge": IClass.BRANCH, "bltu": IClass.BRANCH, "bgeu": IClass.BRANCH,
-    "lb": IClass.LOAD, "lh": IClass.LOAD, "lw": IClass.LOAD,
-    "lbu": IClass.LOAD, "lhu": IClass.LOAD,
-    "sb": IClass.STORE, "sh": IClass.STORE, "sw": IClass.STORE,
-    "addi": IClass.ALU_IMM, "slti": IClass.ALU_IMM, "sltiu": IClass.ALU_IMM,
-    "xori": IClass.ALU_IMM, "ori": IClass.ALU_IMM, "andi": IClass.ALU_IMM,
-    "slli": IClass.ALU_IMM, "srli": IClass.ALU_IMM, "srai": IClass.ALU_IMM,
-    "add": IClass.ALU_REG, "sub": IClass.ALU_REG, "sll": IClass.ALU_REG,
-    "slt": IClass.ALU_REG, "sltu": IClass.ALU_REG, "xor": IClass.ALU_REG,
-    "srl": IClass.ALU_REG, "sra": IClass.ALU_REG, "or": IClass.ALU_REG,
-    "and": IClass.ALU_REG,
-    "mul": IClass.MULDIV, "mulh": IClass.MULDIV, "mulhsu": IClass.MULDIV,
-    "mulhu": IClass.MULDIV, "div": IClass.MULDIV, "divu": IClass.MULDIV,
-    "rem": IClass.MULDIV, "remu": IClass.MULDIV,
-    "fence": IClass.SYSTEM, "ecall": IClass.SYSTEM, "ebreak": IClass.SYSTEM,
+# the class of every mnemonic of an opcode, except MULDIV (funct7 1)
+_OPCODE_CLASS = {
+    OP_LOAD: IClass.LOAD, OP_MISC_MEM: IClass.SYSTEM,
+    OP_ALU_IMM: IClass.ALU_IMM, OP_AUIPC: IClass.UPPER,
+    OP_STORE: IClass.STORE, OP_ALU_REG: IClass.ALU_REG, OP_LUI: IClass.UPPER,
+    OP_BRANCH: IClass.BRANCH, OP_JALR: IClass.JUMP, OP_JAL: IClass.JUMP,
+    OP_SYSTEM: IClass.SYSTEM,
 }
+CLASS_OF = {m: IClass.MULDIV if f7 == 1 else _OPCODE_CLASS[op]
+            for m, (_fmt, op, _f3, f7) in ENCODINGS.items()}
 
 MNEMONICS = tuple(ENCODINGS)
 
-# reverse maps for the decoder
-_R_BY_KEY = {}
-_I_BY_KEY = {}
-for _m, (_f, _op, _f3, _f7) in ENCODINGS.items():
-    if _f == "R":
-        _R_BY_KEY[(_f3, _f7)] = _m
-    elif _f == "I":
-        _I_BY_KEY[(_op, _f3)] = _m
+# mnemonic -> (reads rs1, reads rs2)
+REG_READS = {m: (fmt in ("R", "SH", "I", "S", "B"), fmt in ("R", "S", "B"))
+             for m, (fmt, _op, _f3, _f7) in ENCODINGS.items()}
+
+# I-format mnemonics whose operands are written `rd, imm(rs1)`
+MEM_OPERAND = frozenset(m for m, (_fmt, op, _f3, _f7) in ENCODINGS.items()
+                        if op in (OP_LOAD, OP_JALR))
+
+
+def by_funct3(opcode: int, funct7: int | None = None) -> dict[int, str]:
+    """{funct3: mnemonic} of the encodings with this opcode and funct7."""
+
+    return {f3: m for m, (_fmt, op, f3, f7) in ENCODINGS.items()
+            if op == opcode and f7 == funct7}
+
+
+# decoder key -> mnemonic: (opcode, funct3, funct7) for R and shift forms,
+# (opcode, funct3) for the other funct3 forms, the opcode alone for U and J.
+# ecall/ebreak differ only in the immediate and are decoded by hand.
+_BY_KEY = {}
+for _m, (_fmt, _op, _f3, _f7) in ENCODINGS.items():
+    if _fmt != "E":
+        _BY_KEY[_op if _f3 is None else (_op, _f3) if _f7 is None
+                else (_op, _f3, _f7)] = _m
 
 
 def _sext(value: int, bits: int) -> int:
@@ -163,80 +169,42 @@ def decode(word: int) -> Instruction | Illegal:
     rs2 = (word >> 20) & 0x1F
     funct7 = (word >> 25) & 0x7F
 
-    if opcode == OP_ALU_REG:
-        m = _R_BY_KEY.get((funct3, funct7))
-        if m is None:
+    if opcode == OP_SYSTEM:
+        if funct3 or rd or rs1 or word >> 21:
             return Illegal(word)
+        if word >> 20:
+            return Instruction("ebreak", imm=1, raw=word)
+        return Instruction("ecall", raw=word)
+
+    m = (_BY_KEY.get((opcode, funct3, funct7))
+         or _BY_KEY.get((opcode, funct3)) or _BY_KEY.get(opcode))
+    if m is None:
+        return Illegal(word)
+    fmt = ENCODINGS[m][0]
+    if fmt == "R":
         return Instruction(m, rd=rd, rs1=rs1, rs2=rs2, raw=word)
-
-    if opcode == OP_ALU_IMM:
-        if funct3 == 1:  # slli
-            if funct7 != 0x00:
-                return Illegal(word)
-            return Instruction("slli", rd=rd, rs1=rs1, imm=rs2, raw=word)
-        if funct3 == 5:  # srli/srai
-            if funct7 == 0x00:
-                return Instruction("srli", rd=rd, rs1=rs1, imm=rs2, raw=word)
-            if funct7 == 0x20:
-                return Instruction("srai", rd=rd, rs1=rs1, imm=rs2, raw=word)
-            return Illegal(word)
-        m = _I_BY_KEY.get((OP_ALU_IMM, funct3))
-        if m is None:
-            return Illegal(word)
-        return Instruction(m, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12), raw=word)
-
-    if opcode == OP_LOAD:
-        m = _I_BY_KEY.get((OP_LOAD, funct3))
-        if m is None:
-            return Illegal(word)
-        return Instruction(m, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12), raw=word)
-
-    if opcode == OP_STORE:
-        if funct3 > 2:
-            return Illegal(word)
-        m = ("sb", "sh", "sw")[funct3]
+    if fmt == "SH":
+        return Instruction(m, rd=rd, rs1=rs1, imm=rs2, raw=word)
+    if fmt == "I":
+        return Instruction(m, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12),
+                           raw=word)
+    if fmt == "S":
         imm = _sext((funct7 << 5) | rd, 12)
         return Instruction(m, rs1=rs1, rs2=rs2, imm=imm, raw=word)
-
-    if opcode == OP_BRANCH:
-        if funct3 in (2, 3):
-            return Illegal(word)
-        m = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}[funct3]
+    if fmt == "B":
         imm = ((word >> 31) << 12 | ((word >> 7) & 1) << 11
                | ((word >> 25) & 0x3F) << 5 | ((word >> 8) & 0xF) << 1)
         return Instruction(m, rs1=rs1, rs2=rs2, imm=_sext(imm, 13), raw=word)
-
-    if opcode == OP_LUI or opcode == OP_AUIPC:
-        m = "lui" if opcode == OP_LUI else "auipc"
+    if fmt == "U":
         return Instruction(m, rd=rd, imm=word & 0xFFFFF000, raw=word)
-
-    if opcode == OP_JAL:
+    if fmt == "J":
         imm = ((word >> 31) << 20 | ((word >> 12) & 0xFF) << 12
                | ((word >> 20) & 1) << 11 | ((word >> 21) & 0x3FF) << 1)
-        return Instruction("jal", rd=rd, imm=_sext(imm, 21), raw=word)
-
-    if opcode == OP_JALR:
-        if funct3 != 0:
-            return Illegal(word)
-        return Instruction("jalr", rd=rd, rs1=rs1, imm=_sext(word >> 20, 12), raw=word)
-
-    if opcode == OP_MISC_MEM:
-        # hint forms with nonzero rd/rs1 are reserved; treat as unsupported
-        if funct3 != 0 or rd != 0 or rs1 != 0:
-            return Illegal(word)
-        return Instruction("fence", imm=(word >> 20) & 0xFFF, raw=word)
-
-    if opcode == OP_SYSTEM:
-        if funct3 != 0 or rd != 0 or rs1 != 0:
-            return Illegal(word)
-        imm = (word >> 20) & 0xFFF
-        if imm == 0:
-            return Instruction("ecall", raw=word)
-        if imm == 1:
-            return Instruction("ebreak", imm=1, raw=word)
+        return Instruction(m, rd=rd, imm=_sext(imm, 21), raw=word)
+    # fence: hint forms with nonzero rd/rs1 are reserved; treat as unsupported
+    if rd or rs1:
         return Illegal(word)
-
-    return Illegal(word)
+    return Instruction("fence", imm=(word >> 20) & 0xFFF, raw=word)
 
 
 def _check_reg(name: str, value: int) -> None:
@@ -339,7 +307,7 @@ def disassemble(item: Instruction | Illegal | int) -> str:
     if fmt == "SH":
         return f"{m} x{item.rd}, x{item.rs1}, {item.imm}"
     if fmt == "I":
-        if m in ("lb", "lh", "lw", "lbu", "lhu", "jalr"):
+        if m in MEM_OPERAND:
             return f"{m} x{item.rd}, {item.imm}(x{item.rs1})"
         return f"{m} x{item.rd}, x{item.rs1}, {item.imm}"
     if fmt == "S":

@@ -138,7 +138,8 @@ ALU_OP4 = {"add": 0, "sub": 1, "sll": 2, "slt": 3, "sltu": 4,
            "xor": 5, "srl": 6, "sra": 7, "or": 8, "and": 9,
            "addi": 0, "slli": 2, "slti": 3, "sltiu": 4,
            "xori": 5, "srli": 6, "srai": 7, "ori": 8, "andi": 9}
-BRANCH_OP4 = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
+# a branch's op4 is its funct3
+BRANCH_OP4 = {m: f3 for f3, m in isa.by_funct3(isa.OP_BRANCH).items()}
 
 
 def alu(op4: int, a: int, b: int) -> int:
@@ -283,13 +284,9 @@ def step(state: ArchState) -> StepEvent:
     next_pc = (pc + 4) & 0xFFFFFFFF
     reg_write = mem_write = output = halt = None
 
-    if cls is isa.IClass.ALU_IMM:
-        res = alu(ALU_OP4[m], regs[d.rs1], d.imm & 0xFFFFFFFF)
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], res)
-            regs[d.rd] = res
-    elif cls is isa.IClass.ALU_REG:
-        res = alu(ALU_OP4[m], regs[d.rs1], regs[d.rs2])
+    if cls is isa.IClass.ALU_IMM or cls is isa.IClass.ALU_REG:
+        b = regs[d.rs2] if cls is isa.IClass.ALU_REG else d.imm & 0xFFFFFFFF
+        res = alu(ALU_OP4[m], regs[d.rs1], b)
         if d.rd:
             reg_write = (d.rd, regs[d.rd], res)
             regs[d.rd] = res

@@ -34,7 +34,8 @@ from . import machine
 from .asm import Program
 from .glitch import (CorruptionEvent, GlitchSpec, IllegalPolicy,
                      LatchCapture, plan_effect)
-from .isa import CLASS_OF, IClass, Illegal, Instruction, NOP_WORD
+from .isa import (CLASS_OF, NOP_WORD, OP_ALU_REG, OP_LOAD, OP_STORE,
+                  REG_READS, IClass, Illegal, Instruction, by_funct3)
 from .latches import LATCH_TYPE, LATCHES, bubble
 from .machine import (ALU_OP4, BRANCH_OP4, ArchState, StepEvent, alu,
                       branch_taken, cached_decode, load_program)
@@ -63,9 +64,10 @@ def _ctl(unit: int, op4: int = 0, *, imm: bool = False, wr: bool = False,
             | (sys2 << 10))
 
 
-_MULDIV_MNEM = ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu")
-_LOAD_MNEM = {0: "lb", 1: "lh", 2: "lw", 4: "lbu", 5: "lhu"}
-_STORE_MNEM = {0: "sb", 1: "sh", 2: "sw"}
+# the op4 code of a multiply/divide, load or store is its funct3
+_MULDIV_MNEM = by_funct3(OP_ALU_REG, 1)
+_LOAD_MNEM = by_funct3(OP_LOAD)
+_STORE_MNEM = by_funct3(OP_STORE)
 
 TRAP_CARRIER_CAUSES = ("ILLEGAL", "FETCH_FAULT", "MISALIGNED_FETCH")
 
@@ -78,8 +80,8 @@ CONTROL: dict[str, int] = {}
 for _m, _op in ALU_OP4.items():
     CONTROL[_m] = _ctl(UNIT_ALU, _op, imm=CLASS_OF[_m] is IClass.ALU_IMM,
                        wr=True)
-for _i, _m in enumerate(_MULDIV_MNEM):
-    CONTROL[_m] = _ctl(UNIT_MULDIV, _i, wr=True)
+for _op, _m in _MULDIV_MNEM.items():
+    CONTROL[_m] = _ctl(UNIT_MULDIV, _op, wr=True)
 for _op, _m in _LOAD_MNEM.items():
     CONTROL[_m] = _ctl(UNIT_LOAD, _op, imm=True, wr=True)
 for _op, _m in _STORE_MNEM.items():
@@ -102,9 +104,6 @@ _LATCH_ATTRS = {"IF_ID": ("if_id", "prev_if_id"),
 IfId, IdEx, ExWb = (LATCH_TYPE[latch] for latch in LATCHES)
 _IF_ID_BUBBLE, _ID_EX_BUBBLE, _EX_WB_BUBBLE = (bubble(latch)
                                                for latch in LATCHES)
-
-# instructions that read no rs1 register
-_NO_RS1 = frozenset({"lui", "auipc", "jal", "ecall", "ebreak", "fence"})
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +430,8 @@ class Pipeline:
         if unit == UNIT_ALU:
             result = alu(op4, rs1, imm if ctl & F_USE_IMM else rs2)
         elif unit == UNIT_MULDIV:
-            result = machine.muldiv(_MULDIV_MNEM[op4], rs1, rs2) \
-                if op4 < 8 else 0
+            mnem = _MULDIV_MNEM.get(op4)
+            result = machine.muldiv(mnem, rs1, rs2) if mnem else 0
         elif unit == UNIT_LOAD:
             mnem = _LOAD_MNEM.get(op4)
             if mnem is None:
@@ -526,9 +525,7 @@ class Pipeline:
         mnemonic = d.mnemonic
 
         control = CONTROL[mnemonic]
-        use_rs1 = mnemonic not in _NO_RS1
-        use_rs2 = d.iclass in (IClass.ALU_REG, IClass.MULDIV,
-                               IClass.BRANCH, IClass.STORE)
+        use_rs1, use_rs2 = REG_READS[mnemonic]
 
         if not squash:
             # one-cycle gap after a load producing a consumed register

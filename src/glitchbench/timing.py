@@ -1,12 +1,13 @@
 """Per-class, per-latch timing annotations and the clock-glitch arithmetic.
 
 The model is deliberately simple: every (instruction class, latch) pair has a
-critical-path delay t_crit measured from the launching clock edge to the last
-settling bit of that latch's input. A glitch that shortens the active cycle to
-`offset` nanoseconds corrupts a capture when the data needed more time than
-the edge allowed, i.e. when offset < t_crit + t_setup. Individual bits settle
-earlier than the field maximum, so partial corruption is resolved per bit via
-a deterministic pseudo-random arrival spread.
+critical-path delay t_crit measured from the launching clock edge, and each
+field of the latch settles at t_crit times its field factor in (0, 1]. A
+glitch that shortens the active cycle to `offset` ns corrupts a capture when
+the data needed more time than the edge allowed, i.e. when offset < t_crit *
+f_max + t_setup, f_max being the latch's largest field factor. Bits settle
+no later than their field, so partial corruption is resolved per bit via a
+deterministic pseudo-random arrival spread.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ class TimingModel:
         return self.clock_period_ns - self.setup_ns - self.crit(iclass, latch)
 
     def violates(self, iclass: str, latch: str, offset: float) -> bool:
-        """True when a glitch edge at `offset` corrupts this capture."""
+        """True when a glitch edge at `offset` makes some bit of this
+        capture late (see late_bits)."""
 
         self.check_offset(offset)
-        return offset < self.crit(iclass, latch) + self.setup_ns
+        return offset < self.threshold(iclass, latch)
 
     def check_offset(self, offset: float) -> None:
         if not self.min_glitch_ns <= offset < self.clock_period_ns:

@@ -41,6 +41,11 @@ def test_offset_grid_fenceposts():
         offset_grid(1.0, 9.0, 0)
     with pytest.raises(ValueError):
         offset_grid(3.0, 1.0, 0.5)
+    for bad in ((1.0, float("inf"), 0.5), (1.0, float("nan"), 0.5),
+                (float("-inf"), 9.0, 0.5), (1.0, 9.0, float("inf")),
+                (1.0, 9.0, float("nan"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            offset_grid(*bad)
 
 
 def test_build_plan_defaults_and_validation():
@@ -53,6 +58,10 @@ def test_build_plan_defaults_and_validation():
         build_plan(PROG, TIMING, offsets=(1.0, 10.0, 0.5))  # reaches period
     with pytest.raises(ValueError):
         build_plan(PROG, TIMING, cycles=(5, 5))
+    # a glitch at or past the end of the golden run never fires
+    build_plan(PROG, TIMING, cycles=(0, golden.cycles))
+    with pytest.raises(ValueError, match="bad cycle range"):
+        build_plan(PROG, TIMING, cycles=(0, golden.cycles + 1))
 
 
 def test_grid_covers_every_point_once(swept):

@@ -124,6 +124,51 @@ def test_negative_counts_and_cycles_exit_2(argv, message, small_report,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    # the glitch-free mb_system run is 24 cycles: cycle 23 is its last
+    (("inject", "--workload", "mb_system", "--cycle", "23",
+      "--offset", "2.0"), 0),
+    (("inject", "--workload", "mb_system", "--cycle", "24",
+      "--offset", "2.0"), 2),
+    (("inject", "--workload", "mb_system", "--cycle", "5000",
+      "--offset", "2.0"), 2),
+    (("campaign", "--workload", "mb_system", "--cycles", "0:25",
+      "--offset-range", "3.0:8.0:1.0", "-o", "OUT"), 2),
+    (("campaign", "--workload", "mb_system", "--cycles", "5000:5001",
+      "--offset-range", "3.0:8.0:1.0", "-o", "OUT"), 2),
+    (("campaign", "--workload", "mb_system", "--cycles", "2:4",
+      "--offset-range", "1:inf:0.5", "-o", "OUT"), 2),
+    (("campaign", "--workload", "mb_system", "--cycles", "2:4",
+      "--offset-range", "1:nan:0.5", "-o", "OUT"), 2),
+])
+def test_glitch_cycles_and_offsets_must_lie_in_the_run(argv, code, tmp_path,
+                                                       capsys):
+    argv = [str(tmp_path / "rep.json") if a == "OUT" else a for a in argv]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert ("glitch-free run" in err or "must be finite" in err), err
+
+
+MALFORMED_REPORTS = {
+    "not_an_object": lambda rep: [1],
+    "grid_not_an_object": lambda rep: {"label": "x", "grid": [],
+                                       "summary": {}},
+    "zero_points": lambda rep: {**rep, "grid": {**rep["grid"], "points": 0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_report_exits_2(case, small_report, tmp_path):
+    bad = tmp_path / "bad.json"
+    rep = json.loads(small_report.read_text())
+    bad.write_text(json.dumps(MALFORMED_REPORTS[case](rep)))
+    code, err = cli_subprocess("report", str(bad))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "is not a campaign report" in err
+
+
 def test_run_not_halted_exits_3(tmp_path, capsys):
     src = tmp_path / "spin.s"
     src.write_text("spin: j spin\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -131,3 +133,34 @@ def test_system_variants_stay_illegal():
     assert isinstance(isa.decode(0x30200073), isa.Illegal)  # mret
     assert isinstance(isa.decode(0x00200073), isa.Illegal)
     assert isinstance(isa.decode(0x10500073), isa.Illegal)  # wfi
+
+
+# sha256 of the decoded form of every DECODE_GRID word, frozen when the
+# decoder was rewritten to be table-driven
+DECODE_DIGEST = \
+    "e9a1e9fea9930e41474033aa1f30b3102ce9147878ca34de3c2190760b7ace02"
+
+
+def _decode_grid():
+    """Every (opcode, funct3, funct7) with (rd, rs1, rs2) in {(0,0,0),
+    (5,7,1)}; for MISC-MEM and SYSTEM, whose legality depends on rd and
+    rs1, every rd in {0,5}, rs1 in {0,7}, rs2 in {0,1}."""
+
+    for op in range(128):
+        if op in (isa.OP_MISC_MEM, isa.OP_SYSTEM):
+            regs = list(itertools.product((0, 5), (0, 7), (0, 1)))
+        else:
+            regs = [(0, 0, 0), (5, 7, 1)]
+        for f3 in range(8):
+            for f7 in range(128):
+                for rd, rs1, rs2 in regs:
+                    yield (f7 << 25 | rs2 << 20 | rs1 << 15 | f3 << 12
+                           | rd << 7 | op)
+
+
+def test_decode_digest_is_frozen():
+    # pins the exact legal set and every decoded field, not just round trips
+    words = list(_decode_grid())
+    assert len(words) == 274_432
+    text = "\n".join(repr(isa.decode(w)) for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == DECODE_DIGEST

@@ -96,6 +96,23 @@ def test_late_bits_monotone_in_offset(tm):
     assert tm.late_bits("LOAD", "IF_ID", "instr_word", 8.8 + 0.2) == ()
 
 
+def test_violates_agrees_with_late_bits():
+    # no IF_ID field factor is 1.0, so the threshold sits below crit + setup
+    doc = reference_timing().to_dict()
+    doc["field_factors"]["IF_ID"] = {"instr_word": 0.5, "pc": 0.5,
+                                     "valid": 0.12}
+    model = timing_from_dict(doc)
+    assert model.threshold("LOAD", "IF_ID") == pytest.approx(4.5)
+    for iclass in (c.value for c in IClass):
+        edge = model.threshold(iclass, "IF_ID")
+        for offset in (1.0, edge - 1e-9, edge, edge + 1e-9, 6.0, 9.9):
+            late = any(model.late_bits(iclass, "IF_ID", fname, offset)
+                       for fname, _width in LATCH_FIELDS["IF_ID"])
+            assert model.violates(iclass, "IF_ID", offset) == late, \
+                (iclass, offset)
+    assert not model.violates("LOAD", "IF_ID", 6.0)
+
+
 def test_threshold_uses_max_factor(tm):
     # every latch in the reference set has a unit factor field
     for latch in LATCHES:
