@@ -28,6 +28,7 @@ from .timing import TimingModel
 
 HANG_FACTOR = 4
 DIVERGENCE_LIMIT = 16
+MAX_OFFSETS = 100_000  # most offsets one grid may sweep
 
 # headline outcome labels, most severe first
 HANG = "HANG"
@@ -125,8 +126,12 @@ def offset_grid(lo: float, hi: float, step: float) -> tuple[float, float, int]:
         raise ValueError("offset step must be positive")
     if hi < lo:
         raise ValueError("empty offset range")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return lo, step, count
+    # compared as a float, so an overflowing span is rejected, not built
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_OFFSETS:
+        raise ValueError(f"offset range {lo}:{hi}:{step} has more than "
+                         f"{MAX_OFFSETS} offsets")
+    return lo, step, int(span) + 1
 
 
 def build_plan(program: Program, timing: TimingModel, *,

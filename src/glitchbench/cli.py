@@ -158,9 +158,9 @@ def cmd_run(args) -> int:
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         where = f"cycle {run.cycles}" if not args.golden else f"{n} steps"
-        print(f"{label}: {status} after {where}, "
-              f"cause={arch.halt_cause} exit={arch.exit_code} "
-              f"output={arch.output_log}")
+        _emit(args, f"{label}: {status} after {where}, "
+                    f"cause={arch.halt_cause} exit={arch.exit_code} "
+                    f"output={arch.output_log}\n")
     return EXIT_OK if status == "HALTED" else EXIT_NOT_HALTED
 
 
@@ -195,15 +195,15 @@ def cmd_rat(args) -> int:
                  "windows": rows, "worst_error_ns": worst},
                 indent=2, sort_keys=True) + "\n")
         else:
-            for r in rows:
-                print(f"cycle {r['cycle']:5d} {r['latch']:5s} "
-                      f"{r['iclass']:8s} predicted "
-                      f"[{r['predicted'][0]:.4f}, {r['predicted'][1]:.4f}) "
-                      f"empirical [{r['empirical'][0]:.4f}, "
-                      f"{r['empirical'][1]:.4f}) "
-                      f"{'ok' if r['ok'] else 'MISMATCH'}")
-            print(f"{len(rows)} windows, worst boundary error "
-                  f"{worst:.4f} ns")
+            lines = [f"cycle {r['cycle']:5d} {r['latch']:5s} "
+                     f"{r['iclass']:8s} predicted "
+                     f"[{r['predicted'][0]:.4f}, {r['predicted'][1]:.4f}) "
+                     f"empirical [{r['empirical'][0]:.4f}, "
+                     f"{r['empirical'][1]:.4f}) "
+                     f"{'ok' if r['ok'] else 'MISMATCH'}" for r in rows]
+            lines.append(f"{len(rows)} windows, worst boundary error "
+                         f"{worst:.4f} ns")
+            _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.dynamic:
         run = run_pipeline(prog, timing=timing, max_cycles=args.max_cycles,
@@ -261,31 +261,33 @@ def cmd_inject(args) -> int:
             for e in full.corruptions]
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
-    print(f"{label}: glitch cycle {spec.cycle} offset {spec.offset_ns}ns "
-          f"policy {spec.policy.name}/{spec.illegal_policy.name}")
+    lines = [f"{label}: glitch cycle {spec.cycle} offset {spec.offset_ns}ns "
+             f"policy {spec.policy.name}/{spec.illegal_policy.name}"]
     if not full.corruptions:
-        print("  no latch captured late bits; run is bit-identical to clean")
+        lines.append("  no latch captured late bits; run is bit-identical "
+                     "to clean")
     for e in full.corruptions:
         mark = "*" if e.changed else " "
         pc = f"pc 0x{e.pc:x}" if e.pc is not None else "no occupant"
-        print(f" {mark}{e.latch}.{e.field} [{e.iclass}] {pc} "
-              f"{len(e.late_bits)} late bit(s) "
-              f"0x{e.clean:x} -> 0x{e.corrupted:x}")
+        lines.append(f" {mark}{e.latch}.{e.field} [{e.iclass}] {pc} "
+                     f"{len(e.late_bits)} late bit(s) "
+                     f"0x{e.clean:x} -> 0x{e.corrupted:x}")
     for m in full.mechanisms:
-        print(f"  mechanism {m.kind} at pc 0x{m.pc:x}: {m.detail}")
-    print(f"  outcome {record.outcome} effect {record.effect} "
-          f"misclassified {'yes' if record.misclassified else 'no'}")
-    print(f"  faulty: {full.status} cycles {record.cycles} "
-          f"cause {record.halt_cause} output {list(record.output)}")
-    print(f"  golden: cycles {golden.cycles} cause {golden.halt_cause} "
-          f"output {list(golden.output)}")
+        lines.append(f"  mechanism {m.kind} at pc 0x{m.pc:x}: {m.detail}")
+    lines.append(f"  outcome {record.outcome} effect {record.effect} "
+                 f"misclassified {'yes' if record.misclassified else 'no'}")
+    lines.append(f"  faulty: {full.status} cycles {record.cycles} "
+                 f"cause {record.halt_cause} output {list(record.output)}")
+    lines.append(f"  golden: cycles {golden.cycles} cause "
+                 f"{golden.halt_cause} output {list(golden.output)}")
     if record.divergence and record.divergence["retire_mismatches"]:
         first = record.divergence["retire_mismatches"][0]
         g = first["golden_pc"]
         f = first["faulty_pc"]
-        print(f"  first retire mismatch at slot {first['slot']}: "
-              f"golden {'-' if g is None else hex(g)} vs "
-              f"faulty {'-' if f is None else hex(f)}")
+        lines.append(f"  first retire mismatch at slot {first['slot']}: "
+                     f"golden {'-' if g is None else hex(g)} vs "
+                     f"faulty {'-' if f is None else hex(f)}")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -385,8 +387,6 @@ def _add_program(p):
                    help="stimulus index for --workload bnn")
     p.add_argument("--max-cycles", type=int, default=1_000_000,
                    metavar="N", help="glitch-free run budget")
-    p.add_argument("--strict", action="store_true",
-                   help="treat reads of unmapped memory as traps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program(p)
     p.add_argument("--golden", action="store_true",
                    help="use the single-cycle reference model")
+    p.add_argument("--strict", action="store_true",
+                   help="treat reads of unmapped memory as traps")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_run)

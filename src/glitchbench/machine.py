@@ -24,10 +24,6 @@ TRAP_CAUSES = frozenset({
 })
 
 
-def is_trap(cause: str | None) -> bool:
-    return cause in TRAP_CAUSES
-
-
 @dataclass(slots=True)
 class ArchState:
     pc: int = 0

@@ -96,14 +96,21 @@ CONTROL["fence"] = _ctl(UNIT_SYSTEM, sys2=0)
 CONTROL["ecall"] = _ctl(UNIT_SYSTEM, sys2=1)
 CONTROL["ebreak"] = _ctl(UNIT_SYSTEM, sys2=2)
 
-# latch -> (attribute of its contents, attribute of its previous contents)
-_LATCH_ATTRS = {"IF_ID": ("if_id", "prev_if_id"),
-                "ID_EX": ("id_ex", "prev_id_ex"),
-                "EX_WB": ("ex_wb", "prev_ex_wb")}
+# latch -> attributes of its value, meta, previous value and previous meta
+_LATCH_ATTRS = {
+    "IF_ID": ("if_id", "if_id_meta", "prev_if_id", "prev_if_id_meta"),
+    "ID_EX": ("id_ex", "id_ex_meta", "prev_id_ex", "prev_id_ex_meta"),
+    "EX_WB": ("ex_wb", "ex_wb_meta", "prev_ex_wb", "prev_ex_wb_meta"),
+}
 
 IfId, IdEx, ExWb = (LATCH_TYPE[latch] for latch in LATCHES)
 _IF_ID_BUBBLE, _ID_EX_BUBBLE, _EX_WB_BUBBLE = (bubble(latch)
                                                for latch in LATCHES)
+
+# capture profiles, latch -> (fresh, driving iclass name | None)
+_HELD = (False, None)
+_RESET_CAPTURES = {latch: (True, None) for latch in LATCHES}
+_EX_BUSY_CAPTURES = {"IF_ID": _HELD, "ID_EX": _HELD, "EX_WB": (True, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +123,8 @@ class SlotMeta(NamedTuple):
     they decide what a slot retires as, whether it traps and whether the
     machine halts. `word_corrupted` and `nop_recorded` decide NOP-replacement
     events, and `mem_write`/`output` feed the retire log. `dyn_id`, `raw`,
-    `mnemonic`, `iclass_name` and `ghost` only label traces, retire records
-    and glitch captures. `Pipeline.state_key` holds the fields that count.
+    `mnemonic` and `iclass_name` only label traces, retire records and
+    glitch captures. `Pipeline.state_key` holds the fields that count.
     Every valid slot carries one; a stage derives the next with `_replace`.
     """
 
@@ -132,7 +139,6 @@ class SlotMeta(NamedTuple):
     mem_write: tuple | None = None
     output: int | None = None
     halt: tuple | None = None
-    ghost: bool = False
     word_corrupted: bool = False
     nop_recorded: bool = False
 
@@ -149,7 +155,7 @@ class MechanismEvent:
 class CycleTrace:
     cycle: int
     occupancy: dict  # stage -> (pc, mnemonic, iclass_name, dyn_id) | None
-    captures: dict   # latch -> (fresh, iclass_name | None, valid_in)
+    captures: dict   # latch -> (fresh, iclass_name | None)
 
 
 @dataclass(slots=True)
@@ -190,9 +196,8 @@ class Pipeline:
         self.prev_if_id_meta: SlotMeta | None = None
         self.prev_id_ex_meta: SlotMeta | None = None
         self.prev_ex_wb_meta: SlotMeta | None = None
-        # capture profile of the edge that opened the current cycle:
-        # latch -> (fresh, driving iclass name | None, valid bit captured)
-        self.captures = {latch: (True, None, 0) for latch in LATCHES}
+        # capture profile of the edge that opened the current cycle
+        self.captures = _RESET_CAPTURES
         self.ex_remaining = 0
         self.fetch_stopped = False
         self.illegal_policy = IllegalPolicy.TRAP
@@ -293,68 +298,48 @@ class Pipeline:
         (ex_completed, ex_wb_next, ex_wb_meta, ex_forward,
          redirect, kill_younger) = self._execute()
 
+        # next contents of each latch; a held latch keeps its own
         if not ex_completed:
-            # multi-cycle op keeps EX: everything upstream holds in place
-            self.prev_ex_wb, self.ex_wb = self.ex_wb, ex_wb_next
-            self.prev_ex_wb_meta, self.ex_wb_meta = self.ex_wb_meta, ex_wb_meta
-            self.prev_if_id = self.if_id
-            self.prev_id_ex = self.id_ex
-            self.prev_if_id_meta = self.if_id_meta
-            self.prev_id_ex_meta = self.id_ex_meta
-            self.captures = {
-                "IF_ID": (False, None, self.if_id.valid),
-                "ID_EX": (False, None, self.id_ex.valid),
-                "EX_WB": (True, None, 0),
-            }
-            self.cycle = cyc + 1
-            return True
-
-        squash = kill_younger or redirect is not None
-        id_ex_next, id_ex_meta, id_class, stall = \
-            self._decode_stage(ex_forward, squash)
-
-        if squash:
-            id_ex_next = id_ex_next._replace(valid=0)
-            stall = False
-
-        # IF
-        if squash or not stall:
-            if kill_younger:
+            # multi-cycle op keeps EX: IF_ID and ID_EX hold
+            if_id_next, if_meta = self.if_id, self.if_id_meta
+            id_ex_next, id_ex_meta = self.id_ex, self.id_ex_meta
+            captures = _EX_BUSY_CAPTURES
+        else:
+            squash = kill_younger or redirect is not None
+            id_ex_next, id_ex_meta, id_class, stall = \
+                self._decode_stage(ex_forward, squash)
+            if squash:
+                # the squashed fetch still drives IF_ID, marked invalid
+                id_ex_next = id_ex_next._replace(valid=0)
                 if_id_next, if_meta, if_class = self._fetch_slot()
                 if_id_next = if_id_next._replace(valid=0)
-                self.fetch_stopped = True
-            elif redirect is not None:
-                if_id_next, if_meta, if_class = self._fetch_slot()
-                if_id_next = if_id_next._replace(valid=0)
-                self.fetch_pc = redirect
+                if kill_younger:
+                    self.fetch_stopped = True
+                else:
+                    self.fetch_pc = redirect
+            elif stall:
+                # consumer waits in ID; IF_ID holds, nothing fetched
+                if_id_next, if_meta = self.if_id, self.if_id_meta
             elif self.fetch_stopped:
                 if_id_next, if_meta, if_class = _IF_ID_BUBBLE, None, None
             else:
                 if_id_next, if_meta, if_class = self._fetch_slot()
                 self.fetch_pc = (self.fetch_pc + 4) & MASK32
+            captures = {
+                "IF_ID": _HELD if stall else (True, if_class),
+                "ID_EX": (True, id_class),
+                "EX_WB": (True,
+                          ex_wb_meta.iclass_name if ex_wb_meta else None),
+            }
 
-        # latch updates (the edge that closes this cycle)
-        self.prev_ex_wb, self.ex_wb = self.ex_wb, ex_wb_next
-        self.prev_ex_wb_meta, self.ex_wb_meta = self.ex_wb_meta, ex_wb_meta
+        # the edge that closes this cycle
+        self.prev_if_id, self.if_id = self.if_id, if_id_next
+        self.prev_if_id_meta, self.if_id_meta = self.if_id_meta, if_meta
         self.prev_id_ex, self.id_ex = self.id_ex, id_ex_next
         self.prev_id_ex_meta, self.id_ex_meta = self.id_ex_meta, id_ex_meta
-        if stall:
-            # consumer waits in ID; IF_ID holds, nothing fetched
-            self.prev_if_id = self.if_id
-            self.prev_if_id_meta = self.if_id_meta
-            if_capture = (False, None, self.if_id.valid)
-        else:
-            self.prev_if_id, self.if_id = self.if_id, if_id_next
-            self.prev_if_id_meta, self.if_id_meta = self.if_id_meta, if_meta
-            if_capture = (True, if_class, if_id_next.valid)
-
-        self.captures = {
-            "IF_ID": if_capture,
-            "ID_EX": (True, id_class, id_ex_next.valid),
-            "EX_WB": (True,
-                      ex_wb_meta.iclass_name if ex_wb_meta else None,
-                      ex_wb_next.valid),
-        }
+        self.prev_ex_wb, self.ex_wb = self.ex_wb, ex_wb_next
+        self.prev_ex_wb_meta, self.ex_wb_meta = self.ex_wb_meta, ex_wb_meta
+        self.captures = captures
         self.cycle = cyc + 1
         return True
 
@@ -580,25 +565,25 @@ class Pipeline:
 
     def _apply_glitch(self, spec: GlitchSpec) -> None:
         caps = {}
-        for latch, (cur_name, prev_name) in _LATCH_ATTRS.items():
-            fresh, iclass, _valid = self.captures[latch]
-            meta = getattr(self, cur_name + "_meta")
+        for latch, (value, meta_name, prev, _) in _LATCH_ATTRS.items():
+            fresh, iclass = self.captures[latch]
+            meta = getattr(self, meta_name)
             caps[latch] = LatchCapture(
-                latch, fresh, iclass, getattr(self, cur_name),
-                getattr(self, prev_name), meta.pc if meta else None)
+                latch, fresh, iclass, getattr(self, value),
+                getattr(self, prev), meta.pc if meta else None)
         changed = False
         for latch, events in plan_effect(spec, caps, self.timing).items():
             self.corruptions.extend(events)
             changed = changed or any(e.changed for e in events)
-            cur_name, prev_name = _LATCH_ATTRS[latch]
-            clean = getattr(self, cur_name)
+            value, meta_name, _, prev_meta = _LATCH_ATTRS[latch]
+            clean = getattr(self, value)
             target = clean._replace(**{e.field: e.corrupted for e in events})
-            setattr(self, cur_name, target)
-            meta = getattr(self, cur_name + "_meta")
+            setattr(self, value, target)
+            meta = getattr(self, meta_name)
             if events[0].ghost:
                 # only a stale valid bit of 1 revives a slot, so the
                 # previous slot carried a meta
-                meta = getattr(self, prev_name + "_meta")._replace(ghost=True)
+                meta = getattr(self, prev_meta)
                 self.mechanisms.append(MechanismEvent(
                     "GHOST_INSTRUCTION", spec.cycle,
                     getattr(target, "pc", meta.pc), latch))
@@ -612,7 +597,7 @@ class Pipeline:
                         "MUTATED_INSTRUCTION", spec.cycle, target.pc,
                         f"0x{clean.instr_word:08X}->0x{new_word:08X} "
                         f"({nd.mnemonic})"))
-            setattr(self, cur_name + "_meta", meta)
+            setattr(self, meta_name, meta)
         if changed:
             # a glitch that changes no latch leaves the run glitch-free
             self.illegal_policy = spec.illegal_policy

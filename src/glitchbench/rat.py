@@ -95,7 +95,7 @@ def build_dynamic_rat(run: PipelineRun,
     o_min = timing.min_glitch_ns
     for entry in run.trace:
         thresholds = {}
-        for latch, (fresh, iclass, _valid) in entry.captures.items():
+        for latch, (fresh, iclass) in entry.captures.items():
             if fresh and iclass is not None:
                 thresholds[latch] = timing.threshold(iclass, latch)
         for latch, hi in thresholds.items():

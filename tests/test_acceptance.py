@@ -75,7 +75,7 @@ def test_c2_safe_offsets_are_always_no_effect():
         floors = []
         for entry in traced.trace:
             thresholds = [TIMING.threshold(ic, latch)
-                          for latch, (fresh, ic, _v) in entry.captures.items()
+                          for latch, (fresh, ic) in entry.captures.items()
                           if fresh and ic is not None]
             floors.append(max(thresholds) if thresholds
                           else TIMING.min_glitch_ns)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from glitchbench.asm import assemble
 from glitchbench.campaign import (
-    CONTROL_FLOW_DEVIATION, CSV_HEADER, HANG, NO_EFFECT, SDC_OUTPUT, TRAP,
-    CampaignPlan, build_plan, classify_outcome, first_divergence,
-    from_reset_record, golden_baseline, offset_grid, run_campaign,
+    CONTROL_FLOW_DEVIATION, CSV_HEADER, HANG, MAX_OFFSETS, NO_EFFECT,
+    SDC_OUTPUT, TRAP, CampaignPlan, build_plan, classify_outcome,
+    first_divergence, from_reset_record, golden_baseline, offset_grid,
+    run_campaign,
 )
 from glitchbench.glitch import CorruptionPolicy, IllegalPolicy
 from glitchbench.machine import TRAP_CAUSES
@@ -46,6 +47,15 @@ def test_offset_grid_fenceposts():
                 (1.0, 9.0, float("nan"))):
         with pytest.raises(ValueError, match="must be finite"):
             offset_grid(*bad)
+    # the cap is checked before the count is built: 1e-300 asks for ~8e300
+    # offsets, and 5e-324 makes the span infinite
+    for step in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"more than {MAX_OFFSETS}"):
+            offset_grid(1.0, 9.0, step)
+    assert offset_grid(1.0, 9.82, 0.07)[2] == 127  # the C7 grid
+    assert offset_grid(0.0, MAX_OFFSETS - 1.0, 1.0)[2] == MAX_OFFSETS
+    with pytest.raises(ValueError, match="more than"):
+        offset_grid(0.0, float(MAX_OFFSETS), 1.0)
 
 
 def test_build_plan_defaults_and_validation():

@@ -169,6 +169,47 @@ def test_malformed_report_exits_2(case, small_report, tmp_path):
     assert "is not a campaign report" in err
 
 
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_offset_grid_above_the_cap_exits_2(step, tmp_path):
+    code, err = cli_subprocess(
+        "campaign", "--workload", "mb_system", "--cycles", "2:4",
+        "--offset-range", f"1:9:{step}", "-o", str(tmp_path / "rep.json"))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "offsets" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--workload", "mb_system"),
+    ("run", "--workload", "mb_system", "--golden"),
+    ("inject", "--workload", "mb_load", "--cycle", "7", "--offset", "2.0",
+     "--policy", "zero_late_bits"),
+    ("rat", "--workload", "mb_system", "--verify", "--max-windows", "2"),
+])
+def test_text_output_goes_to_the_output_file(argv, tmp_path, capsys):
+    assert run_cli(*argv) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n")
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "-o", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("run", "--workload", "mb_system", "--strict"), 0),
+    (("rat", "--workload", "mb_system", "--dynamic", "--strict"), 1),
+    (("inject", "--workload", "mb_system", "--cycle", "5",
+      "--offset", "2.0", "--strict"), 1),
+    (("campaign", "--workload", "mb_system", "--cycles", "2:3",
+      "--strict"), 1),
+])
+def test_strict_only_where_it_acts(argv, code, tmp_path, capsys):
+    assert run_cli(*argv, "-o", str(tmp_path / "out")) == code
+    if code == 1:
+        assert "--strict" in capsys.readouterr().err
+
+
 def test_run_not_halted_exits_3(tmp_path, capsys):
     src = tmp_path / "spin.s"
     src.write_text("spin: j spin\n")

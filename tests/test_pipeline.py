@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -424,3 +426,39 @@ def test_corruption_confined_to_glitch_cycle():
                        glitches=[GlitchSpec(3, 4.0)])
     assert run.corruptions
     assert {c.cycle for c in run.corruptions} == {3}
+
+
+TRACE_DIGEST = \
+    "612000a84a0ebaf8b4713d783b603888e260ebd5988521674434829fcdd39924"
+
+
+def test_trace_digest_is_frozen():
+    # pins occupancy and the capture profile of every cycle, held latches
+    # (DIV, load-use stall) and squashed fetches included; c[:2] is
+    # (fresh, iclass)
+    digest = hashlib.sha256()
+    entries = 0
+    held = set()
+
+    def feed(run):
+        nonlocal entries
+        for e in run.trace:
+            digest.update(repr((e.cycle, e.occupancy,
+                                {latch: c[:2] for latch, c
+                                 in e.captures.items()})).encode())
+            held.add(tuple(latch for latch, c in e.captures.items()
+                           if not c[0]))
+        entries += len(run.trace)
+
+    for name in workload_names():
+        prog = workload_program(name, input_index=0 if name == "bnn" else None)
+        clean = run_pipeline(prog, timing=TM, record_trace=True)
+        feed(clean)
+        if name.startswith("mb_"):
+            for policy in CorruptionPolicy:
+                feed(run_pipeline(
+                    prog, timing=TM, record_trace=True,
+                    glitches=[GlitchSpec(clean.cycles // 2, 1.0, policy)]))
+    assert entries == 10_627
+    assert {("IF_ID",), ("IF_ID", "ID_EX")} <= held
+    assert digest.hexdigest() == TRACE_DIGEST
