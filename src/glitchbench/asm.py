@@ -15,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import isa
@@ -96,23 +98,21 @@ def _parse_int(text: str) -> int | None:
         return None
 
 
-@dataclass
-class _Stmt:
-    line: int
-    column: int
-    kind: str  # "instr" | "word" | "byte" | "ascii" | "illegal"
-    addr: int = 0
-    mnemonic: str = ""
-    operands: tuple[str, ...] = ()
-    values: tuple = ()
-    li_slot: int = 0  # 0 normal, 1 lui half, 2 addi half of li
+# pseudo instruction -> (instruction, written operand kinds, fixed fields)
+_PSEUDO = {
+    "nop": ("addi", (), {}),
+    "mv": ("addi", ("rd", "rs1"), {}),
+    "j": ("jal", ("target",), {}),
+    "ret": ("jalr", (), {"rs1": 1}),
+}
 
 
 class Assembler:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.symbols: dict[str, int] = {}
-        self.stmts: list[_Stmt] = []
+        # (address, line, column, producer of the bytes to emit there)
+        self.items: list[tuple[int, int, int, Callable[[], bytes]]] = []
         self.entry: int | None = None
         self.memory: dict[int, int] = {}  # addr -> byte
         self.seg_starts: set[int] = set()
@@ -183,6 +183,12 @@ class Assembler:
             head = head.lower()
             operands = self._split_operands(rest)
 
+            def item(size, produce, *args):
+                nonlocal loc
+                self.items.append((loc, lineno, col,
+                                   partial(produce, *args, lineno, col)))
+                loc += size
+
             if head == ".org":
                 if len(operands) != 1:
                     self._err(".org takes one address", lineno, col)
@@ -202,51 +208,41 @@ class Assembler:
             elif head == ".word":
                 if not operands:
                     self._err(".word needs at least one value", lineno, col)
-                self.stmts.append(_Stmt(lineno, col, "word", loc, operands=operands))
-                loc += 4 * len(operands)
+                for op in operands:
+                    item(4, self._word, op)
             elif head == ".byte":
                 if not operands:
                     self._err(".byte needs at least one value", lineno, col)
-                self.stmts.append(_Stmt(lineno, col, "byte", loc, operands=operands))
-                loc += len(operands)
+                for op in operands:
+                    item(1, self._byte, op)
             elif head == ".ascii":
                 s = self._parse_string(rest.strip(), lineno, col)
-                self.stmts.append(_Stmt(lineno, col, "ascii", loc, values=(s,)))
-                loc += len(s)
-            elif head == ".illegal":
+                item(len(s), lambda data, _ln, _col: data, s)
+            elif head == ".illegal":  # an aligned one-value .word
                 if len(operands) != 1:
                     self._err(".illegal takes one word", lineno, col)
                 self._need_aligned(loc, lineno, col)
-                self.stmts.append(_Stmt(lineno, col, "illegal", loc, operands=operands))
-                loc += 4
+                item(4, self._word, operands[0])
             elif head.startswith("."):
                 self._err(f"unknown directive '{head}'", lineno, col, len(head))
             else:
-                loc = self._layout_instr(head, operands, loc, lineno, col)
+                self._need_aligned(loc, lineno, col)
+                if self.entry is None:
+                    self.entry = loc
+                if head == "li":
+                    if len(operands) != 2:
+                        self._err("li takes rd, imm", lineno, col)
+                    item(8, self._li, *operands)
+                elif head in isa.OPERANDS or head in _PSEUDO:
+                    item(4, self._instr, head, operands, loc)
+                else:
+                    self._err(f"unknown mnemonic '{head}'", lineno, col,
+                              len(head))
         return self
 
     def _need_aligned(self, loc: int, lineno: int, col: int):
         if loc & 3:
             self._err(f"instruction at unaligned address 0x{loc:x}", lineno, col)
-
-    def _layout_instr(self, mnem: str, operands: tuple[str, ...],
-                      loc: int, lineno: int, col: int) -> int:
-        self._need_aligned(loc, lineno, col)
-        if self.entry is None:
-            self.entry = loc
-        if mnem == "li":
-            if len(operands) != 2:
-                self._err("li takes rd, imm", lineno, col)
-            self.stmts.append(_Stmt(lineno, col, "instr", loc, mnemonic="li",
-                                    operands=operands, li_slot=1))
-            self.stmts.append(_Stmt(lineno, col, "instr", loc + 4, mnemonic="li",
-                                    operands=operands, li_slot=2))
-            return loc + 8
-        if mnem not in isa.ENCODINGS and mnem not in ("nop", "mv", "j", "ret"):
-            self._err(f"unknown mnemonic '{mnem}'", lineno, col, len(mnem))
-        self.stmts.append(_Stmt(lineno, col, "instr", loc,
-                                mnemonic=mnem, operands=operands))
-        return loc + 4
 
     def _parse_string(self, text: str, lineno: int, col: int) -> bytes:
         if len(text) < 2 or text[0] != '"' or text[-1] != '"':
@@ -301,116 +297,79 @@ class Assembler:
                 return n
         self._err(f"bad register '{text}'", lineno, col, len(text))
 
-    def _mem_operand(self, text: str, lineno: int, col: int) -> tuple[int, int]:
-        m = _MEM_RE.match(text.strip())
-        if not m:
-            self._err(f"expected imm(reg), got '{text}'", lineno, col, len(text))
-        off = self._eval(m.group(1) or "0", lineno, col)
-        return off, self._reg(m.group(2), lineno, col)
+    def _operand(self, kind: str, text: str, mnem: str, pc: int,
+                 ln: int, col: int) -> dict[str, int]:
+        """The encoder fields one written operand of `kind` sets."""
 
-    def _target(self, text: str, pc: int, lineno: int, col: int) -> int:
-        """Branch/jump target: bare integers are pc-relative offsets,
-        symbols are absolute addresses."""
-
-        lit = _parse_int(text.strip())
-        if lit is not None:
-            return lit
-        return self._eval(text, lineno, col) - pc
-
-    def _encode_stmt(self, st: _Stmt) -> int:
-        mnem, ops, pc = st.mnemonic, st.operands, st.addr
-        ln, col = st.line, st.column
-
-        def need(n):
-            if len(ops) != n:
-                self._err(f"{mnem} takes {n} operand(s)", ln, col)
-
-        if mnem == "li":
-            need(2)
-            rd = self._reg(ops[0], ln, col)
-            value = self._eval(ops[1], ln, col)
-            if not -(1 << 31) <= value < (1 << 32):
-                self._err(f"li immediate out of range: {value}", ln, col)
-            value &= 0xFFFFFFFF
-            lo = value & 0xFFF
-            if lo >= 0x800:
-                lo -= 0x1000
-            hi = (value - lo) & 0xFFFFFFFF
-            if st.li_slot == 1:
-                return isa.encode("lui", rd=rd, imm=hi - (1 << 32) if hi >= 1 << 31 else hi)
-            return isa.encode("addi", rd=rd, rs1=rd, imm=lo)
-        if mnem == "nop":
-            need(0)
-            return isa.NOP_WORD
-        if mnem == "mv":
-            need(2)
-            return isa.encode("addi", rd=self._reg(ops[0], ln, col),
-                              rs1=self._reg(ops[1], ln, col), imm=0)
-        if mnem == "j":
-            need(1)
-            return self._enc("jal", ln, col, rd=0, imm=self._target(ops[0], pc, ln, col))
-        if mnem == "ret":
-            need(0)
-            return isa.encode("jalr", rd=0, rs1=1, imm=0)
-
-        fmt = isa.ENCODINGS[mnem][0]
-        if fmt == "R":
-            need(3)
-            return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),
-                             rs1=self._reg(ops[1], ln, col),
-                             rs2=self._reg(ops[2], ln, col))
-        if fmt == "SH":
-            need(3)
-            return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),
-                             rs1=self._reg(ops[1], ln, col),
-                             imm=self._eval(ops[2], ln, col))
-        if fmt == "I":
-            if mnem in isa.MEM_OPERAND:
-                need(2)
-                off, rs1 = self._mem_operand(ops[1], ln, col)
-                return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),
-                                 rs1=rs1, imm=off)
-            need(3)
-            return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),
-                             rs1=self._reg(ops[1], ln, col),
-                             imm=self._eval(ops[2], ln, col))
-        if fmt == "S":
-            need(2)
-            off, rs1 = self._mem_operand(ops[1], ln, col)
-            return self._enc(mnem, ln, col, rs2=self._reg(ops[0], ln, col),
-                             rs1=rs1, imm=off)
-        if fmt == "B":
-            need(3)
-            imm = self._target(ops[2], pc, ln, col)
-            if imm & 1:
+        if kind == "mem":
+            m = _MEM_RE.match(text.strip())
+            if not m:
+                self._err(f"expected imm(reg), got '{text}'", ln, col, len(text))
+            off = self._eval(m.group(1) or "0", ln, col)
+            return {"imm": off, "rs1": self._reg(m.group(2), ln, col)}
+        if kind == "imm":
+            return {"imm": self._eval(text, ln, col)}
+        if kind == "target":
+            # bare integers are pc-relative offsets, symbols are addresses
+            imm = _parse_int(text.strip())
+            if imm is None:
+                imm = self._eval(text, ln, col) - pc
+            if imm & 1 and isa.ENCODINGS[mnem][0] == "B":
                 self._err(f"misaligned branch target (offset {imm})", ln, col)
-            return self._enc(mnem, ln, col, rs1=self._reg(ops[0], ln, col),
-                             rs2=self._reg(ops[1], ln, col), imm=imm)
-        if fmt == "U":
-            need(2)
-            hi = self._eval(ops[1], ln, col)
+            return {"imm": imm}
+        if kind == "upper":
+            hi = self._eval(text, ln, col)
             if not -0x80000 <= hi <= 0xFFFFF:
                 self._err(f"{mnem} immediate out of range: {hi}", ln, col)
             value = (hi & 0xFFFFF) << 12
-            if value >= 1 << 31:
-                value -= 1 << 32
-            return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col), imm=value)
-        if fmt == "J":
-            if len(ops) == 1:  # jal target  (rd defaults to ra)
-                return self._enc(mnem, ln, col, rd=1,
-                                 imm=self._target(ops[0], pc, ln, col))
-            need(2)
-            return self._enc(mnem, ln, col, rd=self._reg(ops[0], ln, col),
-                             imm=self._target(ops[1], pc, ln, col))
-        if fmt == "F":
-            if len(ops) == 0:
-                return isa.encode("fence", imm=0x0FF)
-            need(1)
-            return self._enc(mnem, ln, col, imm=self._eval(ops[0], ln, col))
-        if fmt == "E":
-            need(0)
-            return isa.encode(mnem)
-        raise AssertionError(fmt)
+            return {"imm": value - (1 << 32) if value >= 1 << 31 else value}
+        return {kind: self._reg(text, ln, col)}
+
+    def _instr(self, mnem: str, ops: tuple[str, ...], pc: int,
+               ln: int, col: int) -> bytes:
+        real, kinds, fields = _PSEUDO.get(mnem) or (mnem, isa.OPERANDS[mnem], {})
+        if mnem == "jal" and len(ops) == 1:  # jal target: rd is ra
+            kinds, fields = ("target",), {"rd": 1}
+        if mnem == "fence" and not ops:
+            kinds, fields = (), {"imm": 0x0FF}
+        if len(ops) != len(kinds):
+            self._err(f"{mnem} takes {len(kinds)} operand(s)", ln, col)
+        written = list(zip(kinds, ops))
+        # a memory operand, upper immediate or branch target is read before
+        # the registers: of two bad operands, that one is reported
+        if kinds and (kinds[-1] in ("mem", "upper")
+                      or isa.ENCODINGS[real][0] == "B"):
+            written.insert(0, written.pop())
+        fields = dict(fields)
+        for kind, text in written:
+            fields.update(self._operand(kind, text, real, pc, ln, col))
+        return self._enc(real, ln, col, **fields).to_bytes(4, "little")
+
+    def _li(self, rd_text: str, imm_text: str, ln: int, col: int) -> bytes:
+        """`li rd, imm` is always lui + addi, whatever the value."""
+
+        rd = self._reg(rd_text, ln, col)
+        value = self._eval(imm_text, ln, col)
+        if not -(1 << 31) <= value < (1 << 32):
+            self._err(f"li immediate out of range: {value}", ln, col)
+        value &= 0xFFFFFFFF
+        lo = value & 0xFFF
+        if lo >= 0x800:
+            lo -= 0x1000
+        hi = (value - lo) & 0xFFFFFFFF
+        lui = isa.encode("lui", rd=rd,
+                         imm=hi - (1 << 32) if hi >= 1 << 31 else hi)
+        addi = isa.encode("addi", rd=rd, rs1=rd, imm=lo)
+        return (lui | addi << 32).to_bytes(8, "little")
+
+    def _word(self, text: str, ln: int, col: int) -> bytes:
+        return (self._eval(text, ln, col) & 0xFFFFFFFF).to_bytes(4, "little")
+
+    def _byte(self, text: str, ln: int, col: int) -> bytes:
+        val = self._eval(text, ln, col)
+        if not -128 <= val <= 255:
+            self._err(f".byte value out of range: {val}", ln, col)
+        return bytes([val & 0xFF])
 
     def _enc(self, mnem: str, ln: int, col: int, **kw) -> int:
         try:
@@ -425,26 +384,8 @@ class Assembler:
             self.memory[addr + i] = b
 
     def encode_all(self) -> Program:
-        for st in self.stmts:
-            if st.kind == "instr":
-                word = self._encode_stmt(st)
-                self._emit(st.addr, word.to_bytes(4, "little"), st.line, st.column)
-            elif st.kind == "illegal":
-                val = self._eval(st.operands[0], st.line, st.column) & 0xFFFFFFFF
-                self._emit(st.addr, val.to_bytes(4, "little"), st.line, st.column)
-            elif st.kind == "word":
-                for i, op in enumerate(st.operands):
-                    val = self._eval(op, st.line, st.column) & 0xFFFFFFFF
-                    self._emit(st.addr + 4 * i, val.to_bytes(4, "little"),
-                               st.line, st.column)
-            elif st.kind == "byte":
-                for i, op in enumerate(st.operands):
-                    val = self._eval(op, st.line, st.column)
-                    if not -128 <= val <= 255:
-                        self._err(f".byte value out of range: {val}", st.line, st.column)
-                    self._emit(st.addr + i, bytes([val & 0xFF]), st.line, st.column)
-            elif st.kind == "ascii":
-                self._emit(st.addr, st.values[0], st.line, st.column)
+        for addr, ln, col, produce in self.items:
+            self._emit(addr, produce(), ln, col)
 
         segments = []
         addrs = sorted(self.memory)

@@ -18,6 +18,7 @@ import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
+from typing import ClassVar
 
 from .asm import Program
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
@@ -99,7 +100,7 @@ class CampaignPlan:
     offset_count: int
     policy: CorruptionPolicy = CorruptionPolicy.STALE_BITS
     illegal_policy: IllegalPolicy = IllegalPolicy.NOP_REPLACE
-    hang_factor: int = HANG_FACTOR
+    hang_factor: ClassVar[int] = HANG_FACTOR
     label: str = "program"
 
     def offset(self, idx: int) -> float:
@@ -216,8 +217,7 @@ class OutcomeRecord:
         ])
 
 
-def first_divergence(golden_pcs, faulty_pcs, changed_events,
-                     limit: int = DIVERGENCE_LIMIT) -> dict:
+def first_divergence(golden_pcs, faulty_pcs, changed_events) -> dict:
     """Where the fault took hold: the first corrupted site plus the first
     retirement slots where the two pc streams disagree."""
 
@@ -232,7 +232,7 @@ def first_divergence(golden_pcs, faulty_pcs, changed_events,
         f = faulty_pcs[i] if i < len(faulty_pcs) else None
         if g != f:
             mismatches.append({"slot": i, "golden_pc": g, "faulty_pc": f})
-            if len(mismatches) >= limit:
+            if len(mismatches) >= DIVERGENCE_LIMIT:
                 break
     return {"seed": seed, "retire_mismatches": mismatches}
 

@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from .asm import (AsmError, ImageError, Program, assemble, load_image,
@@ -38,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; keep 2 for bad *input files* instead
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit((EXIT_USAGE, f"error: {message}"))
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 class _InputError(Exception):
@@ -46,24 +48,21 @@ class _InputError(Exception):
 
 
 def _resolve_timing(args) -> "TimingModel":
-    path = getattr(args, "timing", None) or os.environ.get(TIMING_ENV) \
-        or _REFERENCE_TIMING
+    path = args.timing or os.environ.get(TIMING_ENV) or _REFERENCE_TIMING
     return load_timing(path)
 
 
 def _load_program(args) -> tuple[Program, str]:
     """(program, label) from a positional path or --workload."""
 
-    name = getattr(args, "workload", None)
-    path = getattr(args, "program", None)
+    name, path = args.workload, args.program
     if name:
         if path:
             raise _InputError("give either a program file or --workload")
-        prog = workload_program(name, input_index=getattr(args, "input", None))
-        return prog, name
+        return workload_program(name, input_index=args.input), name
     if not path:
         raise _InputError("no program given (file path or --workload)")
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         raise _InputError("--input only applies to --workload bnn")
     p = Path(path)
     text = p.read_text()
@@ -72,48 +71,41 @@ def _load_program(args) -> tuple[Program, str]:
     return assemble(text), p.stem
 
 
-def _policy(name: str) -> CorruptionPolicy:
-    try:
-        return CorruptionPolicy[name.upper()]
-    except KeyError:
-        raise _InputError(
-            f"unknown corruption policy '{name}' "
-            f"(choose from {', '.join(p.name.lower() for p in CorruptionPolicy)})")
+def _policies(args) -> tuple[CorruptionPolicy, IllegalPolicy]:
+    """--policy and --illegal-policy as enum members."""
+
+    chosen = []
+    for kind, what, name in ((CorruptionPolicy, "corruption", args.policy),
+                             (IllegalPolicy, "illegal-word",
+                              args.illegal_policy)):
+        try:
+            chosen.append(kind[name.upper()])
+        except KeyError:
+            raise _InputError(
+                f"unknown {what} policy '{name}' "
+                f"(choose from {', '.join(p.name.lower() for p in kind)})")
+    return tuple(chosen)
 
 
-def _illegal_policy(name: str) -> IllegalPolicy:
-    try:
-        return IllegalPolicy[name.upper()]
-    except KeyError:
-        raise _InputError(
-            f"unknown illegal-word policy '{name}' "
-            f"(choose from {', '.join(p.name.lower() for p in IllegalPolicy)})")
+def _range(text: str, form: str, convert, what: str) -> tuple:
+    """`text` split at ':' into the fields `form` names, each converted."""
 
-
-def _int_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
-    if len(parts) != 2:
-        raise _InputError(f"expected lo:hi, got '{text}'")
+    if len(parts) != form.count(":") + 1:
+        raise _InputError(f"expected {form}, got '{text}'")
     try:
-        return int(parts[0], 0), int(parts[1], 0)
+        return tuple(map(convert, parts))
     except ValueError:
-        raise _InputError(f"bad cycle range '{text}'")
+        raise _InputError(f"bad {what} range '{text}'")
 
 
-def _float_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _InputError(f"expected lo:hi:step, got '{text}'")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise _InputError(f"bad offset range '{text}'")
+def _emit(args, text: str, payload) -> None:
+    """The payload as JSON under --json, else the text, to -o or stdout."""
 
-
-def _emit(args, text: str) -> None:
-    out = getattr(args, "output", None)
-    if out and out != "-":
-        Path(out).write_text(text)
+    if args.json:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.output and args.output != "-":
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -154,17 +146,20 @@ def cmd_run(args) -> int:
     }
     if not args.golden:
         payload["cycles"] = run.cycles
-    if args.json:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        where = f"cycle {run.cycles}" if not args.golden else f"{n} steps"
-        _emit(args, f"{label}: {status} after {where}, "
-                    f"cause={arch.halt_cause} exit={arch.exit_code} "
-                    f"output={arch.output_log}\n")
+    where = f"cycle {run.cycles}" if not args.golden else f"{n} steps"
+    _emit(args, f"{label}: {status} after {where}, "
+                f"cause={arch.halt_cause} exit={arch.exit_code} "
+                f"output={arch.output_log}\n", payload)
     return EXIT_OK if status == "HALTED" else EXIT_NOT_HALTED
 
 
 def cmd_rat(args) -> int:
+    if not (args.dynamic or args.verify) and (
+            args.program or args.workload or args.input is not None):
+        args.error("a program (file, --workload or --input) needs "
+                   "--dynamic or --verify")
+    if args.max_windows is not None and not args.verify:
+        args.error("--max-windows needs --verify")
     timing = _resolve_timing(args)
     if args.verify or args.dynamic:
         prog, label = _load_program(args)
@@ -189,21 +184,17 @@ def cmd_rat(args) -> int:
                 "lo_error": c.lo_error, "hi_error": c.hi_error,
                 "selective": c.selective, "probes": c.probes, "ok": ok,
             })
-        if args.json:
-            _emit(args, json.dumps(
-                {"program": label, "tolerance": args.tolerance,
-                 "windows": rows, "worst_error_ns": worst},
-                indent=2, sort_keys=True) + "\n")
-        else:
-            lines = [f"cycle {r['cycle']:5d} {r['latch']:5s} "
-                     f"{r['iclass']:8s} predicted "
-                     f"[{r['predicted'][0]:.4f}, {r['predicted'][1]:.4f}) "
-                     f"empirical [{r['empirical'][0]:.4f}, "
-                     f"{r['empirical'][1]:.4f}) "
-                     f"{'ok' if r['ok'] else 'MISMATCH'}" for r in rows]
-            lines.append(f"{len(rows)} windows, worst boundary error "
-                         f"{worst:.4f} ns")
-            _emit(args, "\n".join(lines) + "\n")
+        lines = [f"cycle {r['cycle']:5d} {r['latch']:5s} "
+                 f"{r['iclass']:8s} predicted "
+                 f"[{r['predicted'][0]:.4f}, {r['predicted'][1]:.4f}) "
+                 f"empirical [{r['empirical'][0]:.4f}, "
+                 f"{r['empirical'][1]:.4f}) "
+                 f"{'ok' if r['ok'] else 'MISMATCH'}" for r in rows]
+        lines.append(f"{len(rows)} windows, worst boundary error "
+                     f"{worst:.4f} ns")
+        _emit(args, "\n".join(lines) + "\n",
+              {"program": label, "tolerance": args.tolerance,
+               "windows": rows, "worst_error_ns": worst})
         return EXIT_OK
     if args.dynamic:
         run = run_pipeline(prog, timing=timing, max_cycles=args.max_cycles,
@@ -213,54 +204,35 @@ def cmd_rat(args) -> int:
                   f"cycles", file=sys.stderr)
             return EXIT_NOT_HALTED
         windows = build_dynamic_rat(run, timing)
-        if args.json:
-            _emit(args, json.dumps({"program": label, "windows": [
-                {"cycle": w.cycle, "latch": w.latch, "stage": w.stage,
-                 "iclass": w.iclass, "lo_ns": w.lo_ns, "hi_ns": w.hi_ns,
-                 "target_pc": w.target[0] if w.target else None,
-                 "target_mnemonic": w.target[1] if w.target else None}
-                for w in windows]}, indent=2, sort_keys=True) + "\n")
-        else:
-            lines = ["cycle,latch,stage,iclass,window_lo_ns,window_hi_ns,"
-                     "target_pc,target_mnemonic"]
-            for w in windows:
-                pc = f"0x{w.target[0]:x}" if w.target else ""
-                mnem = w.target[1] if w.target else ""
-                lines.append(f"{w.cycle},{w.latch},{w.stage},{w.iclass},"
-                             f"{w.lo_ns:.6g},{w.hi_ns:.6g},{pc},{mnem}")
-            _emit(args, "\n".join(lines) + "\n")
+        lines = ["cycle,latch,stage,iclass,window_lo_ns,window_hi_ns,"
+                 "target_pc,target_mnemonic"]
+        for w in windows:
+            pc = f"0x{w.target[0]:x}" if w.target else ""
+            mnem = w.target[1] if w.target else ""
+            lines.append(f"{w.cycle},{w.latch},{w.stage},{w.iclass},"
+                         f"{w.lo_ns:.6g},{w.hi_ns:.6g},{pc},{mnem}")
+        _emit(args, "\n".join(lines) + "\n", {"program": label, "windows": [
+            {"cycle": w.cycle, "latch": w.latch, "stage": w.stage,
+             "iclass": w.iclass, "lo_ns": w.lo_ns, "hi_ns": w.hi_ns,
+             "target_pc": w.target[0] if w.target else None,
+             "target_mnemonic": w.target[1] if w.target else None}
+            for w in windows]})
         return EXIT_OK
     entries = build_static_rat(timing)
-    if args.json:
-        _emit(args, json.dumps([
-            {"rank": e.rank, "iclass": e.iclass, "latch": e.latch,
-             "t_crit_ns": e.t_crit_ns, "slack_ns": e.slack_ns,
-             "window_lo_ns": e.window_lo_ns, "window_hi_ns": e.window_hi_ns}
-            for e in entries], indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, rat_to_csv(entries))
+    _emit(args, rat_to_csv(entries), [asdict(e) for e in entries])
     return EXIT_OK
 
 
 def cmd_inject(args) -> int:
     timing = _resolve_timing(args)
     prog, label = _load_program(args)
-    spec = GlitchSpec(args.cycle, args.offset, _policy(args.policy),
-                      _illegal_policy(args.illegal_policy))
+    spec = GlitchSpec(args.cycle, args.offset, *_policies(args))
     record, full, golden = single_injection(
         prog, timing, spec, max_cycles=args.max_cycles)
-    if args.json:
-        payload = record.to_dict()
-        payload["program"] = label
-        payload["corruptions"] = [
-            {"cycle": e.cycle, "latch": e.latch, "field": e.field,
-             "iclass": e.iclass, "pc": e.pc, "late_bits": list(e.late_bits),
-             "clean": e.clean, "corrupted": e.corrupted,
-             "changed": e.changed, "ghost": e.ghost,
-             "bubble_injected": e.bubble_injected}
-            for e in full.corruptions]
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
+    payload = record.to_dict()
+    payload["program"] = label
+    payload["corruptions"] = [{**asdict(e), "changed": e.changed}
+                              for e in full.corruptions]
     lines = [f"{label}: glitch cycle {spec.cycle} offset {spec.offset_ns}ns "
              f"policy {spec.policy.name}/{spec.illegal_policy.name}"]
     if not full.corruptions:
@@ -287,7 +259,7 @@ def cmd_inject(args) -> int:
         lines.append(f"  first retire mismatch at slot {first['slot']}: "
                      f"golden {'-' if g is None else hex(g)} vs "
                      f"faulty {'-' if f is None else hex(f)}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n", payload)
     return EXIT_OK
 
 
@@ -296,13 +268,15 @@ def cmd_campaign(args) -> int:
         raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
     timing = _resolve_timing(args)
     prog, label = _load_program(args)
-    cycles = _int_range(args.cycles) if args.cycles else None
-    offsets = _float_range(args.offset_range) if args.offset_range else None
+    cycles = (_range(args.cycles, "lo:hi", partial(int, base=0), "cycle")
+              if args.cycles else None)
+    offsets = (_range(args.offset_range, "lo:hi:step", float, "offset")
+               if args.offset_range else None)
+    policy, illegal_policy = _policies(args)
     plan, golden = build_plan(
-        prog, timing, cycles=cycles, offsets=offsets,
-        policy=_policy(args.policy),
-        illegal_policy=_illegal_policy(args.illegal_policy),
-        label=label, max_cycles=args.max_cycles)
+        prog, timing, cycles=cycles, offsets=offsets, policy=policy,
+        illegal_policy=illegal_policy, label=label,
+        max_cycles=args.max_cycles)
     result = run_campaign(plan, golden, jobs=args.jobs)
     Path(args.output).write_text(result.to_json())
     if args.csv:
@@ -389,6 +363,16 @@ def _add_program(p):
                    metavar="N", help="glitch-free run budget")
 
 
+def _add_policies(p):
+    p.add_argument("--policy", default="stale_bits")
+    p.add_argument("--illegal-policy", default="nop_replace")
+
+
+def _add_output(p):
+    p.add_argument("--json", action="store_true")
+    p.add_argument("-o", "--output", metavar="PATH")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glitchbench",
                      description="clock-glitch fault injection laboratory "
@@ -409,33 +393,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the single-cycle reference model")
     p.add_argument("--strict", action="store_true",
                    help="treat reads of unmapped memory as traps")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", metavar="PATH")
+    _add_output(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("rat", help="reliability analysis tables")
     _add_program(p)
     _add_timing(p)
-    p.add_argument("--dynamic", action="store_true",
-                   help="per-cycle selective windows for a program")
-    p.add_argument("--verify", action="store_true",
-                   help="probe window boundaries empirically")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--dynamic", action="store_true",
+                      help="per-cycle selective windows for a program")
+    mode.add_argument("--verify", action="store_true",
+                      help="probe window boundaries empirically")
     p.add_argument("--max-windows", type=int, metavar="N",
                    help="verify at most N windows")
     p.add_argument("--tolerance", type=float, default=0.01, metavar="NS")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", metavar="PATH")
-    p.set_defaults(func=cmd_rat)
+    _add_output(p)
+    p.set_defaults(func=cmd_rat, error=p.error)
 
     p = sub.add_parser("inject", help="inject one glitch and classify it")
     _add_program(p)
     _add_timing(p)
     p.add_argument("--cycle", type=int, required=True)
     p.add_argument("--offset", type=float, required=True, metavar="NS")
-    p.add_argument("--policy", default="stale_bits")
-    p.add_argument("--illegal-policy", default="nop_replace")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", metavar="PATH")
+    _add_policies(p)
+    _add_output(p)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("campaign", help="sweep a (cycle, offset) grid")
@@ -445,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycle range, default the whole run")
     p.add_argument("--offset-range", metavar="LO:HI:STEP",
                    help="offsets in ns, default a coarse whole-period scan")
-    p.add_argument("--policy", default="stale_bits")
-    p.add_argument("--illegal-policy", default="nop_replace")
+    _add_policies(p)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1")
     p.add_argument("-o", "--output", default="report.json", metavar="PATH")
@@ -466,17 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        if isinstance(e.code, tuple):
-            code, message = e.code
-            print(message, file=sys.stderr)
-            return code
-        return e.code or 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # usage errors and --help
+        return e.code or 0
     except TimingError as exc:
         print(f"error: bad timing model: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

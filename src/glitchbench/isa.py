@@ -127,13 +127,22 @@ CLASS_OF = {m: IClass.MULDIV if f7 == 1 else _OPCODE_CLASS[op]
 
 MNEMONICS = tuple(ENCODINGS)
 
-# mnemonic -> (reads rs1, reads rs2)
-REG_READS = {m: (fmt in ("R", "SH", "I", "S", "B"), fmt in ("R", "S", "B"))
-             for m, (fmt, _op, _f3, _f7) in ENCODINGS.items()}
+# mnemonic -> written operand kinds: registers rd/rs1/rs2, an immediate
+# `imm`, `mem` (`imm(rs1)`), a pc-relative `target` and the 20-bit `upper`
+# immediate; loads and jalr take `rd, mem`
+_FORMAT_OPERANDS = {
+    "R": ("rd", "rs1", "rs2"), "SH": ("rd", "rs1", "imm"),
+    "I": ("rd", "rs1", "imm"), "S": ("rs2", "mem"),
+    "B": ("rs1", "rs2", "target"), "U": ("rd", "upper"),
+    "J": ("rd", "target"), "F": ("imm",), "E": (),
+}
+OPERANDS = {m: ("rd", "mem") if op in (OP_LOAD, OP_JALR)
+            else _FORMAT_OPERANDS[fmt]
+            for m, (fmt, op, _f3, _f7) in ENCODINGS.items()}
 
-# I-format mnemonics whose operands are written `rd, imm(rs1)`
-MEM_OPERAND = frozenset(m for m, (_fmt, op, _f3, _f7) in ENCODINGS.items()
-                        if op in (OP_LOAD, OP_JALR))
+# mnemonic -> (reads rs1, reads rs2)
+REG_READS = {m: ("rs1" in kinds or "mem" in kinds, "rs2" in kinds)
+             for m, kinds in OPERANDS.items()}
 
 
 def by_funct3(opcode: int, funct7: int | None = None) -> dict[int, str]:
@@ -301,25 +310,13 @@ def disassemble(item: Instruction | Illegal | int) -> str:
         return f".illegal 0x{item.raw:08x}"
 
     m = item.mnemonic
-    fmt = ENCODINGS[m][0]
-    if fmt == "R":
-        return f"{m} x{item.rd}, x{item.rs1}, x{item.rs2}"
-    if fmt == "SH":
-        return f"{m} x{item.rd}, x{item.rs1}, {item.imm}"
-    if fmt == "I":
-        if m in MEM_OPERAND:
-            return f"{m} x{item.rd}, {item.imm}(x{item.rs1})"
-        return f"{m} x{item.rd}, x{item.rs1}, {item.imm}"
-    if fmt == "S":
-        return f"{m} x{item.rs2}, {item.imm}(x{item.rs1})"
-    if fmt == "B":
-        return f"{m} x{item.rs1}, x{item.rs2}, {item.imm}"
-    if fmt == "U":
-        return f"{m} x{item.rd}, {(item.imm >> 12) & 0xFFFFF}"
-    if fmt == "J":
-        return f"{m} x{item.rd}, {item.imm}"
-    if fmt == "F":
+    if m == "fence":
         if (item.imm & 0xFFF) == 0x0FF and item.rd == 0 and item.rs1 == 0:
             return "fence"
         return f"fence 0x{item.imm & 0xFFF:03x}"
-    return m  # ecall / ebreak
+    written = {"rd": f"x{item.rd}", "rs1": f"x{item.rs1}",
+               "rs2": f"x{item.rs2}", "imm": item.imm, "target": item.imm,
+               "mem": f"{item.imm}(x{item.rs1})",
+               "upper": (item.imm >> 12) & 0xFFFFF}
+    ops = ", ".join(str(written[k]) for k in OPERANDS[m])
+    return f"{m} {ops}" if ops else m  # ecall / ebreak take none

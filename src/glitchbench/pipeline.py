@@ -121,10 +121,10 @@ class SlotMeta(NamedTuple):
 
     `pc`, `next_pc`, `trap_cause`, `fault_cause` and `halt` are semantic:
     they decide what a slot retires as, whether it traps and whether the
-    machine halts. `word_corrupted` and `nop_recorded` decide NOP-replacement
-    events, and `mem_write`/`output` feed the retire log. `dyn_id`, `raw`,
-    `mnemonic` and `iclass_name` only label traces, retire records and
-    glitch captures. `Pipeline.state_key` holds the fields that count.
+    machine halts. `word_corrupted` decides NOP-replacement events, and
+    `mem_write`/`output` feed the retire log. `dyn_id`, `raw`, `mnemonic`
+    and `iclass_name` only label traces, retire records and glitch
+    captures. `Pipeline.state_key` holds the fields that count.
     Every valid slot carries one; a stage derives the next with `_replace`.
     """
 
@@ -140,7 +140,6 @@ class SlotMeta(NamedTuple):
     output: int | None = None
     halt: tuple | None = None
     word_corrupted: bool = False
-    nop_recorded: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -495,8 +494,7 @@ class Pipeline:
         d = cached_decode(word)
         if isinstance(d, Illegal):
             if self.illegal_policy is IllegalPolicy.NOP_REPLACE:
-                if meta.word_corrupted and not meta.nop_recorded:
-                    self.if_id_meta = meta = meta._replace(nop_recorded=True)
+                if meta.word_corrupted:
                     self.mechanisms.append(MechanismEvent(
                         "NOP_REPLACEMENT", self.cycle, pc,
                         f"word 0x{word:08X}"))
@@ -631,7 +629,7 @@ def _slot_key(slot: tuple, meta: SlotMeta) -> tuple | None:
         return None
     return slot, (
         meta.pc, meta.trap_cause, meta.fault_cause, meta.halt, meta.next_pc,
-        meta.word_corrupted, meta.nop_recorded, meta.mem_write, meta.output)
+        meta.word_corrupted, meta.mem_write, meta.output)
 
 
 def run_pipeline(program: Program, *, timing: TimingModel | None = None,

@@ -218,14 +218,11 @@ def bind_input(program: Program, value: int) -> Program:
 
 
 def bnn_program(model: BnnModel | None = None, *,
-                input_index: int | None = None,
-                value: int | None = None) -> Program:
+                input_index: int | None = None) -> Program:
     model = model or make_bnn_model()
     prog = assemble(generate_bnn_asm(model))
     if input_index is not None:
-        value = model.inputs[input_index]
-    if value is not None:
-        prog = bind_input(prog, value)
+        prog = bind_input(prog, model.inputs[input_index])
     return prog
 
 

@@ -31,9 +31,9 @@ TIMING = reference_timing()
 MODEL = make_bnn_model()
 
 
-def _lockstep(program, max_cycles=200_000):
-    gold = run_golden(program, max_steps=max_cycles)
-    run = run_pipeline(program, max_cycles=max_cycles)
+def _lockstep(program, max_cycles=200_000, strict=False):
+    gold = run_golden(program, max_steps=max_cycles, strict=strict)
+    run = run_pipeline(program, max_cycles=max_cycles, strict=strict)
     assert run.status == gold.status == "HALTED"
     assert len(run.retires) == len(gold.events)
     for mine, ref in zip(run.retires, gold.events):
@@ -57,6 +57,43 @@ def test_c1_pipeline_matches_reference_model_in_lockstep():
         retired += _lockstep(assemble(random_source(seed)))
     print(f"ACCEPTANCE #1 PASS - lockstep equivalence over "
           f"{10 + 50} programs, {retired} retirements compared exactly")
+
+
+# (source, halt cause) of programs that end on each halt and trap cause
+ENDINGS = [
+    ("addi x1, x0, 1\necall\n", "ECALL"),
+    ("addi x5, x0, 0x402\nsw x1, 0(x5)\nebreak\n", "MISALIGNED_STORE"),
+    ("addi x5, x0, 0x402\nlw x1, 0(x5)\nebreak\n", "MISALIGNED_LOAD"),
+    ("addi x5, x0, 0x401\nlh x1, 0(x5)\nebreak\n", "MISALIGNED_LOAD"),
+    ("addi x1, x0, 1\njal x2, 2\nebreak\n", "MISALIGNED_FETCH"),
+    ("addi x5, x0, 6\njalr x0, 0(x5)\nebreak\n", "MISALIGNED_FETCH"),
+    ("beq x0, x0, 2\nebreak\n", "MISALIGNED_FETCH"),
+    ("addi x1, x0, 1\n", "FETCH_FAULT"),
+    ("addi x1, x0, 1\n.illegal 0xffffffff\n", "ILLEGAL"),
+    ("li x5, 0x80000004\naddi x6, x0, 7\nsw x6, 0(x5)\nebreak\n",
+     "HALT_PORT"),
+]
+
+
+@pytest.mark.parametrize("src, cause", ENDINGS)
+def test_c1_lockstep_on_every_halt_and_trap_cause(src, cause):
+    """C1's lockstep check on programs that end on each halt and trap
+    cause, so every such path of both models is compared."""
+
+    prog = assemble(src + ".org 0x400\n.word 0, 0\n")
+    _lockstep(prog)
+    assert run_golden(prog).state.halt_cause == cause
+
+
+def test_c1_lockstep_on_misaligned_entry_and_strict_load():
+    entry_2 = assemble("nop\nnop\nebreak\n")
+    entry_2.entry = 2
+    _lockstep(entry_2)
+    assert run_golden(entry_2).state.halt_cause == "MISALIGNED_FETCH"
+    unmapped = assemble("li x5, 0x2000\nlw x6, 0(x5)\nebreak\n")
+    _lockstep(unmapped, strict=True)
+    assert run_golden(unmapped, strict=True).state.halt_cause == \
+        "UNMAPPED_LOAD"
 
 
 def test_c2_safe_offsets_are_always_no_effect():

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from glitchbench import asm, isa
+from glitchbench.workloads import workload_names, workload_source
+from proggen import random_source
+from rv32_corpus import CORPUS
 
 
 def words_of(prog: asm.Program) -> dict[int, int]:
@@ -191,3 +196,76 @@ def test_entry_outside_segments_rejected(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(asm.ImageError, match="entry"):
         asm.load_image(path)
+
+
+# every short form and pseudo instruction, so the digest covers each
+SHORT_FORMS = """
+    nop
+    mv a0, sp
+    li t0, -2049
+top:
+    j top
+    jal top
+    jal x0, 8
+    jalr x5, 16(x6)
+    jalr x1, (x2)
+    lb x1, -2048(x2)
+    fence
+    fence 0x33
+    ecall
+    ebreak
+    ret
+    .word 1, top + 4, -1
+    .byte 1, -128, 255
+    .ascii "a\\"\\n"
+    .org 0x100
+    .illegal 0xffffffff
+"""
+
+# wrong operand counts for every format and form, the operand kinds that
+# can fail, and statements with two bad operands (which one is reported
+# first is part of the behaviour)
+BAD_SOURCES = [
+    "add x1, x2\n", "slli x1, x2\n", "addi x1, x2, 3, 4\n", "lw x1\n",
+    "jalr x1, 0(x2), 4\n", "sw x1\n", "beq x1, x2\n", "lui x1\n",
+    "jal x1, x2, 8\n", "jal\n", "fence 1, 2\n", "ecall x1\n", "nop x1\n",
+    "mv x1\n", "j\n", "ret x1\n", "li x1\n",
+    "lui x1, 0x100000\n", "auipc x1, -0x80001\n", "beq x1, x2, 3\n",
+    "jal x1, 3\n", "j 1\n", ".byte 256\n", ".byte -129\n", "lw x1, 4\n",
+    "sw x1, 0(x32)\n", "slli x1, x1, 32\n", "li x1, 0x100000000\n",
+    ".illegal 1, 2\n", ".org 2\n.illegal 0\n", ".word 1, nowhere\n",
+    "nop\n.org 0\n.word 1, nowhere\n", "nop\n.org 0\nli x1, 5\n",
+    "add x40, x41, x42\n", "sw x40, y(x41)\n", "lw x40, 0(x41)\n",
+    "beq x40, x41, 3\n", "beq x40, x41, nowhere\n", "lui x40, 0x100000\n",
+    "jal x40, nowhere\n", "slli x40, x41, nowhere\n",
+    "addi x1, x40, nowhere\n",
+]
+
+FRONT_END_DIGEST = \
+    "a7ec61bd9df429d6dc55ae4b8cd3555611b3bb8d57b794903777c7477c16daf8"
+
+
+def test_front_end_digest_is_frozen():
+    # pins assembled images, assembler diagnostics and disassembly text
+    digest = hashlib.sha256()
+    sources = [workload_source(name) for name in workload_names()]
+    sources += [random_source(seed) for seed in range(100)]
+    sources += [text + "\n" for text, _word in CORPUS]
+    sources.append(SHORT_FORMS)
+    for src in sources:
+        prog = asm.assemble(src)
+        digest.update(repr((prog.entry,
+                            [(s.base, s.data.hex()) for s in prog.segments],
+                            sorted(prog.symbols.items()))).encode())
+    for src in BAD_SOURCES:
+        with pytest.raises(asm.AsmError) as err:
+            asm.assemble(src)
+        digest.update(repr((str(err.value), err.value.span)).encode())
+    rng = random.Random(7)
+    opcodes = sorted({op for _fmt, op, _f3, _f7 in isa.ENCODINGS.values()})
+    for i in range(50_000):
+        word = rng.getrandbits(32)
+        if i % 2:  # half the words carry a supported opcode
+            word = word & ~0x7F | rng.choice(opcodes)
+        digest.update(isa.disassemble(word).encode() + b"\n")
+    assert digest.hexdigest() == FRONT_END_DIGEST

@@ -303,7 +303,7 @@ def test_first_divergence_limits_and_padding():
     assert d["retire_mismatches"] == [
         {"slot": 2, "golden_pc": 8, "faulty_pc": None}]
     long = first_divergence(tuple(range(0, 400, 4)),
-                            tuple(range(2, 402, 4)), [], limit=16)
+                            tuple(range(2, 402, 4)), [])
     assert len(long["retire_mismatches"]) == 16
 
 

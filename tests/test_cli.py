@@ -210,6 +210,19 @@ def test_strict_only_where_it_acts(argv, code, tmp_path, capsys):
         assert "--strict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rat", "nonexistent.s"), "needs --dynamic or --verify"),
+    (("rat", "--workload", "mb_system", "--dynamic", "--verify"),
+     "not allowed with argument --dynamic"),
+    (("rat", "--max-windows", "3"), "--max-windows needs --verify"),
+])
+def test_rat_rejects_input_it_would_ignore(argv, message, capsys):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_run_not_halted_exits_3(tmp_path, capsys):
     src = tmp_path / "spin.s"
     src.write_text("spin: j spin\n")

@@ -419,6 +419,40 @@ def test_forks_leave_the_parent_untouched():
                      "NOP_REPLACEMENT"}
 
 
+@pytest.mark.parametrize("policy", [CorruptionPolicy.STALE_BITS,
+                                    CorruptionPolicy.ZERO_LATE_BITS])
+def test_no_run_replaces_one_pc_twice(policy):
+    """A NOP-replaced word decodes as addi x0, x0, 0, which never stalls,
+    so its slot leaves IF_ID and is decoded once: no run raises
+    NOP_REPLACEMENT twice for one pc. Every point of the mb_* default
+    grids under NOP_REPLACE (STALE_REGISTER latches only words fetched
+    before, so it replaces none), each run to halt or hang; points that
+    reach the same state after the glitched cycle share one continuation."""
+
+    replaced = 0
+    for name in MB_NAMES:
+        plan, golden = build_plan(workload_program(name), TM, policy=policy)
+        base = Pipeline(plan.program, timing=TM)
+        for cycle in plan.cycles:
+            tails = {}  # state after the glitched cycle -> its NOP pcs
+            for k in range(plan.offset_count):
+                f = base.fork()
+                f.schedule(GlitchSpec(cycle, plan.offset(k), policy))
+                f.clock()
+                before = len(f.mechanisms)
+                key = f.state_key()
+                if key not in tails:
+                    f.run(golden.cycles * plan.hang_factor)
+                    tails[key] = [m.pc for m in f.mechanisms[before:]
+                                  if m.kind == "NOP_REPLACEMENT"]
+                pcs = [m.pc for m in f.mechanisms[:before]
+                       if m.kind == "NOP_REPLACEMENT"] + tails[key]
+                assert len(pcs) == len(set(pcs)), (name, cycle, k, pcs)
+                replaced += len(pcs)
+            base.clock()
+    assert replaced > 1000, replaced
+
+
 def test_corruption_confined_to_glitch_cycle():
     # every corruption event carries the glitch cycle; later cycles only
     # propagate architectural consequences
