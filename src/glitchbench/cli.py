@@ -35,6 +35,9 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_HALTED = 3
 
+MAX_CYCLES = 1_000_000   # glitch-free run budget
+TOLERANCE_NS = 0.01      # rat --verify boundary tolerance
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; keep 2 for bad *input files* instead
@@ -160,6 +163,12 @@ def cmd_rat(args) -> int:
                    "--dynamic or --verify")
     if args.max_windows is not None and not args.verify:
         args.error("--max-windows needs --verify")
+    if args.tolerance is not None and not args.verify:
+        args.error("--tolerance needs --verify")
+    if args.max_cycles is not None and not (args.dynamic or args.verify):
+        args.error("--max-cycles needs --dynamic or --verify")
+    tolerance = TOLERANCE_NS if args.tolerance is None else args.tolerance
+    max_cycles = MAX_CYCLES if args.max_cycles is None else args.max_cycles
     timing = _resolve_timing(args)
     if args.verify or args.dynamic:
         prog, label = _load_program(args)
@@ -168,15 +177,15 @@ def cmd_rat(args) -> int:
             raise _InputError(f"--max-windows must be at least 0, "
                               f"got {args.max_windows}")
         checks = verify_rat_empirically(
-            prog, timing, max_cycles=args.max_cycles,
+            prog, timing, max_cycles=max_cycles,
             max_windows=args.max_windows)
         worst = 0.0
         rows = []
         for c in checks:
             w = c.window
             worst = max(worst, c.lo_error, c.hi_error)
-            ok = c.selective and c.lo_error <= args.tolerance \
-                and c.hi_error <= args.tolerance
+            ok = c.selective and c.lo_error <= tolerance \
+                and c.hi_error <= tolerance
             rows.append({
                 "cycle": w.cycle, "latch": w.latch, "iclass": w.iclass,
                 "predicted": [w.lo_ns, w.hi_ns],
@@ -193,14 +202,14 @@ def cmd_rat(args) -> int:
         lines.append(f"{len(rows)} windows, worst boundary error "
                      f"{worst:.4f} ns")
         _emit(args, "\n".join(lines) + "\n",
-              {"program": label, "tolerance": args.tolerance,
+              {"program": label, "tolerance": tolerance,
                "windows": rows, "worst_error_ns": worst})
         return EXIT_OK
     if args.dynamic:
-        run = run_pipeline(prog, timing=timing, max_cycles=args.max_cycles,
+        run = run_pipeline(prog, timing=timing, max_cycles=max_cycles,
                            record_trace=True)
         if run.status != "HALTED":
-            print(f"error: {label} did not halt within {args.max_cycles} "
+            print(f"error: {label} did not halt within {max_cycles} "
                   f"cycles", file=sys.stderr)
             return EXIT_NOT_HALTED
         windows = build_dynamic_rat(run, timing)
@@ -359,7 +368,7 @@ def _add_program(p):
                    help="use a built-in program instead of a file")
     p.add_argument("--input", type=int, metavar="K",
                    help="stimulus index for --workload bnn")
-    p.add_argument("--max-cycles", type=int, default=1_000_000,
+    p.add_argument("--max-cycles", type=int, default=MAX_CYCLES,
                    metavar="N", help="glitch-free run budget")
 
 
@@ -406,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="probe window boundaries empirically")
     p.add_argument("--max-windows", type=int, metavar="N",
                    help="verify at most N windows")
-    p.add_argument("--tolerance", type=float, default=0.01, metavar="NS")
+    p.add_argument("--tolerance", type=float, metavar="NS")
     _add_output(p)
-    p.set_defaults(func=cmd_rat, error=p.error)
+    # unset, so cmd_rat can tell a --max-cycles that the static table ignores
+    p.set_defaults(func=cmd_rat, error=p.error, max_cycles=None)
 
     p = sub.add_parser("inject", help="inject one glitch and classify it")
     _add_program(p)

@@ -99,11 +99,7 @@ def plan_effect(spec: GlitchSpec, captures: dict, timing: TimingModel
         cap = captures.get(latch)
         if cap is None or not cap.fresh or cap.iclass is None:
             continue
-        late = {}
-        for fname in field_names(latch):
-            bits = timing.late_bits(cap.iclass, latch, fname, spec.offset_ns)
-            if bits:
-                late[fname] = bits
+        late = timing.late_fields(cap.iclass, latch, spec.offset_ns)
         if not late:
             continue
 
@@ -111,13 +107,11 @@ def plan_effect(spec: GlitchSpec, captures: dict, timing: TimingModel
         inc, prev = cap.incoming, cap.previous
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
             # one late bit anywhere reverts the entire register
+            late_of = {fname: bits for fname, bits, _mask in late}
             for fname in field_names(latch):
-                fields[fname] = late.get(fname, ()), getattr(prev, fname)
+                fields[fname] = late_of.get(fname, ()), getattr(prev, fname)
         else:
-            for fname, bits in late.items():
-                mask = 0
-                for b in bits:
-                    mask |= 1 << b
+            for fname, bits, mask in late:
                 stale = getattr(prev, fname) \
                     if spec.policy is CorruptionPolicy.STALE_BITS else 0
                 fields[fname] = \

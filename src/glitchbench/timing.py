@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .isa import IClass
@@ -35,6 +37,7 @@ class TimingModel:
     field_factors: dict    # latch -> {field -> float in (0, 1]}
     bit_spread_seed: int
     _arrival_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _late_tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- scalar queries ----------------------------------------------------
 
@@ -107,6 +110,38 @@ class TimingModel:
         return tuple(b for b, t in
                      enumerate(self.bit_arrivals(iclass, latch, fname))
                      if t + self.setup_ns > offset)
+
+    def late_fields(self, iclass: str, latch: str, offset: float) -> tuple:
+        """(field, late bits, mask) for every field of one capture with late
+        bits at `offset`, in field order: late_bits of each field, from a
+        table built on first use of the (iclass, latch) pair.
+
+        The late set changes only at the keys arrival + setup, so between two
+        neighbouring keys it is constant. The table holds late_bits
+        evaluated once per interval, and a lookup is one bisect."""
+
+        table = self._late_tables.get((iclass, latch))
+        if table is None:
+            table = self._late_tables[iclass, latch] = \
+                self._late_table(iclass, latch)
+        keys, rows = table
+        return rows[bisect_right(keys, offset)]
+
+    def _late_table(self, iclass: str, latch: str) -> tuple[list, tuple]:
+        names = [name for name, _width in LATCH_FIELDS[latch]]
+        # the float expression late_bits compares, so lookups are exact
+        keys = sorted({t + self.setup_ns for name in names
+                       for t in self.bit_arrivals(iclass, latch, name)})
+        rows = []
+        # row i covers [keys[i-1], keys[i]); row 0 everything below keys[0]
+        for edge in (-math.inf, *keys):
+            row = []
+            for name in names:
+                bits = self.late_bits(iclass, latch, name, edge)
+                if bits:
+                    row.append((name, bits, sum(1 << b for b in bits)))
+            rows.append(tuple(row))
+        return keys, tuple(rows)
 
     def _hash(self, *parts: str) -> int:
         text = "|".join((str(self.bit_spread_seed),) + parts)

@@ -222,6 +222,9 @@ def bnn_program(model: BnnModel | None = None, *,
     model = model or make_bnn_model()
     prog = assemble(generate_bnn_asm(model))
     if input_index is not None:
+        if not 0 <= input_index < len(model.inputs):
+            raise ValueError(f"bnn input index {input_index} is outside "
+                             f"0..{len(model.inputs) - 1}")
         prog = bind_input(prog, model.inputs[input_index])
     return prog
 

@@ -215,12 +215,34 @@ def test_strict_only_where_it_acts(argv, code, tmp_path, capsys):
     (("rat", "--workload", "mb_system", "--dynamic", "--verify"),
      "not allowed with argument --dynamic"),
     (("rat", "--max-windows", "3"), "--max-windows needs --verify"),
+    (("rat", "--tolerance", "5"), "--tolerance needs --verify"),
+    (("rat", "--max-cycles", "3"), "--max-cycles needs --dynamic or --verify"),
 ])
 def test_rat_rejects_input_it_would_ignore(argv, message, capsys):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ("run",),
+    # one point, so a campaign that accepts the index still ends quickly
+    ("campaign", "--cycles", "0:1", "--offset-range", "9.0:9.0:1.0")],
+    ids=["run", "campaign"])
+@pytest.mark.parametrize("index", ["32", "-1"])
+def test_bnn_input_out_of_range_exits_2(command, index, tmp_path):
+    code, err = cli_subprocess(*command, "--workload", "bnn", "--input", index,
+                               "-o", str(tmp_path / "out"))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "outside 0..31" in err
+
+
+@pytest.mark.parametrize("index", ["0", "31"])
+def test_bnn_input_edges_run(index, capsys):
+    assert run_cli("run", "--workload", "bnn", "--input", index) == 0
+    assert "HALTED" in capsys.readouterr().out
 
 
 def test_run_not_halted_exits_3(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glitchbench.glitch import (CorruptionPolicy, GlitchSpec, IllegalPolicy,
-                                LatchCapture, plan_effect)
-from glitchbench.latches import LATCHES, bubble, field_names
+from glitchbench.glitch import (CorruptionEvent, CorruptionPolicy, GlitchSpec,
+                                IllegalPolicy, LatchCapture, plan_effect)
+from glitchbench.isa import IClass
+from glitchbench.latches import LATCH_FIELDS, LATCHES, bubble, field_names
 from glitchbench.timing import reference_timing
 
 TM = reference_timing()
@@ -173,3 +176,84 @@ def test_policy_default_and_spec_fields():
     assert spec.policy is CorruptionPolicy.STALE_BITS
     assert spec.illegal_policy is IllegalPolicy.NOP_REPLACE
     assert spec.cycle == 9 and spec.offset_ns == 4.25
+
+
+def reference_plan(spec, captures, timing):
+    """plan_effect written per field from TimingModel.late_bits."""
+
+    timing.check_offset(spec.offset_ns)
+    effects = {}
+    for latch in LATCHES:
+        c = captures.get(latch)
+        if c is None or not c.fresh or c.iclass is None:
+            continue
+        late = {}
+        for fname in field_names(latch):
+            bits = timing.late_bits(c.iclass, latch, fname, spec.offset_ns)
+            if bits:
+                late[fname] = bits
+        if not late:
+            continue
+        fields = {}
+        inc, prev = c.incoming, c.previous
+        if spec.policy is CorruptionPolicy.STALE_REGISTER:
+            for fname in field_names(latch):
+                fields[fname] = late.get(fname, ()), getattr(prev, fname)
+        else:
+            for fname, bits in late.items():
+                mask = 0
+                for b in bits:
+                    mask |= 1 << b
+                stale = getattr(prev, fname) \
+                    if spec.policy is CorruptionPolicy.STALE_BITS else 0
+                fields[fname] = \
+                    bits, (getattr(inc, fname) & ~mask) | (stale & mask)
+        valid_in = inc.valid & 1
+        valid_out = fields["valid"][1] & 1 if "valid" in fields else valid_in
+        ghost = valid_in == 0 and valid_out == 1
+        killed = valid_in == 1 and valid_out == 0
+        effects[latch] = tuple(
+            CorruptionEvent(spec.cycle, latch, fname, c.iclass, bits,
+                            getattr(inc, fname), bad, ghost, killed, c.pc)
+            for fname, (bits, bad) in fields.items())
+    return effects
+
+
+# every key arrival + setup inside the offset domain, where late sets change
+KEYS = sorted({t + TM.setup_ns
+               for iclass in (c.value for c in IClass) for latch in LATCHES
+               for fname, _ in LATCH_FIELDS[latch]
+               for t in TM.bit_arrivals(iclass, latch, fname)
+               if TM.min_glitch_ns < t + TM.setup_ns < TM.clock_period_ns})
+
+
+@st.composite
+def latch_values(draw, latch):
+    return bubble(latch)._make(draw(st.integers(0, 2**width - 1))
+                               for _, width in LATCH_FIELDS[latch])
+
+
+@st.composite
+def captures(draw):
+    out = {}
+    for latch in LATCHES:
+        if draw(st.booleans()):
+            inc = draw(latch_values(latch))
+            out[latch] = LatchCapture(
+                latch, draw(st.booleans()),
+                draw(st.none() | st.sampled_from([c.value for c in IClass])),
+                inc, draw(latch_values(latch)), getattr(inc, "pc", None))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(caps=captures(),
+       offset=st.sampled_from(KEYS)
+       | st.sampled_from(KEYS).map(lambda k: math.nextafter(k, -math.inf))
+       | st.floats(TM.min_glitch_ns, TM.clock_period_ns, exclude_max=True),
+       policy=st.sampled_from(CorruptionPolicy),
+       cycle=st.integers(0, 10_000))
+def test_plan_effect_matches_the_per_field_planner(caps, offset, policy,
+                                                   cycle):
+    spec = GlitchSpec(cycle, offset, policy)
+    assert plan_effect(spec, caps, TM) == reference_plan(spec, caps, TM)

@@ -1,11 +1,13 @@
 import copy
 import json
+import math
 import pathlib
 
 import pytest
 
 from glitchbench.isa import IClass
 from glitchbench.latches import FIELD_WIDTH, LATCH_FIELDS, LATCHES, bubble
+from glitchbench.rat import SCAN_STEP_NS
 from glitchbench.timing import (TimingError, load_timing, reference_timing,
                                 save_timing, timing_from_dict)
 
@@ -158,3 +160,52 @@ def test_save_round_trip(tm, tmp_path):
     p = tmp_path / "copy.json"
     save_timing(tm, p)
     assert json.loads(p.read_text()) == json.loads(FIXTURE.read_text())
+
+
+def _shared_factor_model():
+    # another setup and seed, and IF_ID instr_word and pc share a factor, so
+    # their designated bits land on one key
+    doc = reference_timing().to_dict()
+    doc["setup_ns"] = 0.23
+    doc["bit_spread_seed"] = 0xC0FFEE
+    doc["field_factors"]["IF_ID"]["pc"] = 1.0
+    return timing_from_dict(doc)
+
+
+@pytest.mark.parametrize("model, shared", [
+    (reference_timing(), False), (_shared_factor_model(), True)],
+    ids=["reference", "shared_factor"])
+def test_late_fields_match_late_bits(model, shared):
+    thresholds = [model.threshold(c.value, latch)
+                  for c in IClass for latch in LATCHES]
+    probes = [model.min_glitch_ns]
+    probes += [1.0 + k * 0.07 for k in range(127)]   # the C7 grid
+    for lo in thresholds:                            # RAT verify scans
+        off = lo + SCAN_STEP_NS / 2
+        while off < model.clock_period_ns:
+            probes.append(off)
+            off += SCAN_STEP_NS
+    shared_keys = 0
+    for iclass in (c.value for c in IClass):
+        for latch in LATCHES:
+            names = [name for name, _ in LATCH_FIELDS[latch]]
+            keys = [t + model.setup_ns for name in names
+                    for t in model.bit_arrivals(iclass, latch, name)]
+            shared_keys += len(keys) - len(set(keys))
+            offsets = list(probes)
+            for k in keys:
+                offsets += [math.nextafter(k, -math.inf), k,
+                            math.nextafter(k, math.inf)]
+            edge = model.threshold(iclass, latch)
+            for offset in offsets:
+                rows = model.late_fields(iclass, latch, offset)
+                plain = [(name, model.late_bits(iclass, latch, name, offset))
+                         for name in names]
+                assert [(f, bits) for f, bits, _ in rows] == \
+                    [(f, bits) for f, bits in plain if bits], (iclass, offset)
+                for _f, bits, mask in rows:
+                    assert mask == sum(1 << b for b in bits)
+                assert (rows == ()) == (offset >= edge), (iclass, offset)
+                if model.min_glitch_ns <= offset < model.clock_period_ns:
+                    assert bool(rows) == model.violates(iclass, latch, offset)
+    assert bool(shared_keys) == shared  # equal keys across fields
