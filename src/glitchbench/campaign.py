@@ -23,7 +23,7 @@ from typing import ClassVar
 from .asm import Program
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .latches import CONSUMER_STAGE
-from .machine import TRAP_CAUSES
+from .machine import MAX_CYCLES, TRAP_CAUSES
 from .pipeline import Pipeline, PipelineRun, run_pipeline
 from .timing import TimingModel
 
@@ -79,7 +79,8 @@ def summarize(run: PipelineRun, n_retires: int = 0,
                       arch.halt_cause, arch.exit_code)
 
 
-def golden_baseline(program: Program, *, max_cycles: int = 1_000_000) -> RunSummary:
+def golden_baseline(program: Program, *,
+                    max_cycles: int = MAX_CYCLES) -> RunSummary:
     """Summary of the glitch-free run, which must halt."""
 
     run = run_pipeline(program, max_cycles=max_cycles)
@@ -141,7 +142,7 @@ def build_plan(program: Program, timing: TimingModel, *,
                policy: CorruptionPolicy = CorruptionPolicy.STALE_BITS,
                illegal_policy: IllegalPolicy = IllegalPolicy.NOP_REPLACE,
                label: str = "program",
-               max_cycles: int = 1_000_000) -> tuple[CampaignPlan, RunSummary]:
+               max_cycles: int = MAX_CYCLES) -> tuple[CampaignPlan, RunSummary]:
     """Fill grid defaults from the glitch-free run and validate bounds."""
 
     golden = golden_baseline(program, max_cycles=max_cycles)
@@ -436,7 +437,7 @@ class CampaignResult:
 
 
 def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
-                     *, max_cycles: int = 1_000_000):
+                     *, max_cycles: int = MAX_CYCLES):
     """One glitch, fully classified: (record, faulty run, golden baseline).
 
     The returned run is a from-reset simulation carrying the complete

@@ -19,23 +19,21 @@ from .asm import (AsmError, ImageError, Program, assemble, load_image,
                   store_image)
 from .campaign import build_plan, run_campaign, single_injection
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
-from .machine import run_golden
+from .machine import MAX_CYCLES, run_golden
 from .pipeline import run_pipeline
 from .rat import (
     build_dynamic_rat, build_static_rat, rat_to_csv, verify_rat_empirically,
 )
-from .timing import TimingError, load_timing
+from .timing import REFERENCE_TIMING, TimingError, load_timing
 from .workloads import workload_names, workload_program
 
 TIMING_ENV = "GLITCHBENCH_TIMING"
-_REFERENCE_TIMING = Path(__file__).parent / "fixtures" / "timing_ref.json"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_HALTED = 3
 
-MAX_CYCLES = 1_000_000   # glitch-free run budget
 TOLERANCE_NS = 0.01      # rat --verify boundary tolerance
 
 
@@ -51,8 +49,11 @@ class _InputError(Exception):
 
 
 def _resolve_timing(args) -> "TimingModel":
-    path = args.timing or os.environ.get(TIMING_ENV) or _REFERENCE_TIMING
-    return load_timing(path)
+    path = args.timing or os.environ.get(TIMING_ENV) or REFERENCE_TIMING
+    try:
+        return load_timing(path)
+    except TimingError as exc:
+        raise _InputError(f"bad timing model: {exc}")
 
 
 def _load_program(args) -> tuple[Program, str]:
@@ -170,14 +171,24 @@ def cmd_rat(args) -> int:
     tolerance = TOLERANCE_NS if args.tolerance is None else args.tolerance
     max_cycles = MAX_CYCLES if args.max_cycles is None else args.max_cycles
     timing = _resolve_timing(args)
-    if args.verify or args.dynamic:
-        prog, label = _load_program(args)
+    if not (args.verify or args.dynamic):
+        entries = build_static_rat(timing)
+        _emit(args, rat_to_csv(entries), [asdict(e) for e in entries])
+        return EXIT_OK
+    prog, label = _load_program(args)
+    if args.max_windows is not None and args.max_windows < 0:
+        raise _InputError(f"--max-windows must be at least 0, "
+                          f"got {args.max_windows}")
+    run = run_pipeline(prog, timing=timing, max_cycles=max_cycles,
+                       record_trace=True)
+    if run.status != "HALTED":
+        print(f"error: {label} did not halt within {max_cycles} cycles",
+              file=sys.stderr)
+        return EXIT_NOT_HALTED
+    windows = build_dynamic_rat(run, timing)
     if args.verify:
-        if args.max_windows is not None and args.max_windows < 0:
-            raise _InputError(f"--max-windows must be at least 0, "
-                              f"got {args.max_windows}")
         checks = verify_rat_empirically(
-            prog, timing, max_cycles=max_cycles,
+            prog, timing, windows, max_cycles=max_cycles,
             max_windows=args.max_windows)
         worst = 0.0
         rows = []
@@ -205,30 +216,19 @@ def cmd_rat(args) -> int:
               {"program": label, "tolerance": tolerance,
                "windows": rows, "worst_error_ns": worst})
         return EXIT_OK
-    if args.dynamic:
-        run = run_pipeline(prog, timing=timing, max_cycles=max_cycles,
-                           record_trace=True)
-        if run.status != "HALTED":
-            print(f"error: {label} did not halt within {max_cycles} "
-                  f"cycles", file=sys.stderr)
-            return EXIT_NOT_HALTED
-        windows = build_dynamic_rat(run, timing)
-        lines = ["cycle,latch,stage,iclass,window_lo_ns,window_hi_ns,"
-                 "target_pc,target_mnemonic"]
-        for w in windows:
-            pc = f"0x{w.target[0]:x}" if w.target else ""
-            mnem = w.target[1] if w.target else ""
-            lines.append(f"{w.cycle},{w.latch},{w.stage},{w.iclass},"
-                         f"{w.lo_ns:.6g},{w.hi_ns:.6g},{pc},{mnem}")
-        _emit(args, "\n".join(lines) + "\n", {"program": label, "windows": [
-            {"cycle": w.cycle, "latch": w.latch, "stage": w.stage,
-             "iclass": w.iclass, "lo_ns": w.lo_ns, "hi_ns": w.hi_ns,
-             "target_pc": w.target[0] if w.target else None,
-             "target_mnemonic": w.target[1] if w.target else None}
-            for w in windows]})
-        return EXIT_OK
-    entries = build_static_rat(timing)
-    _emit(args, rat_to_csv(entries), [asdict(e) for e in entries])
+    lines = ["cycle,latch,stage,iclass,window_lo_ns,window_hi_ns,"
+             "target_pc,target_mnemonic"]
+    for w in windows:
+        pc = f"0x{w.target[0]:x}" if w.target else ""
+        mnem = w.target[1] if w.target else ""
+        lines.append(f"{w.cycle},{w.latch},{w.stage},{w.iclass},"
+                     f"{w.lo_ns:.6g},{w.hi_ns:.6g},{pc},{mnem}")
+    _emit(args, "\n".join(lines) + "\n", {"program": label, "windows": [
+        {"cycle": w.cycle, "latch": w.latch, "stage": w.stage,
+         "iclass": w.iclass, "lo_ns": w.lo_ns, "hi_ns": w.hi_ns,
+         "target_pc": w.target[0] if w.target else None,
+         "target_mnemonic": w.target[1] if w.target else None}
+        for w in windows]})
     return EXIT_OK
 
 
@@ -461,9 +461,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # usage errors and --help
         return e.code or 0
-    except TimingError as exc:
-        print(f"error: bad timing model: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (_InputError, AsmError, ImageError, OSError, json.JSONDecodeError,
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from .asm import Program
 
 OUTPUT_PORT = 0x80000000
 HALT_PORT = 0x80000004
+MAX_CYCLES = 1_000_000   # default glitch-free run budget, cycles or steps
 
 TRAP_CAUSES = frozenset({
     "FETCH_FAULT", "ILLEGAL", "MISALIGNED_LOAD",
@@ -361,7 +362,7 @@ class GoldenRun:
         return len(self.events)
 
 
-def run_golden(program: Program, max_steps: int = 1_000_000,
+def run_golden(program: Program, max_steps: int = MAX_CYCLES,
                strict: bool = False) -> GoldenRun:
     """Run to halt or the step budget on the reference executor."""
 

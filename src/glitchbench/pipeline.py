@@ -633,7 +633,7 @@ def _slot_key(slot: tuple, meta: SlotMeta) -> tuple | None:
 
 
 def run_pipeline(program: Program, *, timing: TimingModel | None = None,
-                 glitches=(), max_cycles: int = 1_000_000,
+                 glitches=(), max_cycles: int = machine.MAX_CYCLES,
                  strict: bool = False, record_trace: bool = False
                  ) -> PipelineRun:
     p = Pipeline(program, timing=timing, strict=strict,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .asm import Program
 from .glitch import GlitchSpec
 from .latches import CONSUMER_STAGE
+from .machine import MAX_CYCLES
 from .pipeline import Pipeline, PipelineRun, run_pipeline
 from .timing import TimingModel
 
@@ -155,7 +156,7 @@ class _Prober:
 
 def verify_rat_empirically(program: Program, timing: TimingModel,
                            windows: list[SelectiveWindow] | None = None,
-                           *, max_cycles: int = 1_000_000,
+                           *, max_cycles: int = MAX_CYCLES,
                            full_runs: bool = False,
                            max_windows: int | None = None
                            ) -> list[WindowCheck]:

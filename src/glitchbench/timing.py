@@ -15,13 +15,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .isa import IClass
 from .latches import FIELD_WIDTH, LATCH_FIELDS, LATCHES
 
 CLASS_NAMES = tuple(c.value for c in IClass)
+REFERENCE_TIMING = Path(__file__).parent / "fixtures" / "timing_ref.json"
 
 
 class TimingError(ValueError):
@@ -169,18 +172,27 @@ def _require(cond: bool, msg: str) -> None:
         raise TimingError(msg)
 
 
+def _number(value, what: str) -> float:
+    # compared, not converted: float() of a huge JSON integer overflows
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{what} must be a finite number")
+    return float(value)
+
+
 def timing_from_dict(doc: dict) -> TimingModel:
     _require(isinstance(doc, dict), "timing document must be an object")
     for key in ("clock_period_ns", "setup_ns", "min_glitch_ns",
                 "crit_ns", "field_factors", "bit_spread_seed"):
         _require(key in doc, f"missing key {key!r}")
-    period = float(doc["clock_period_ns"])
-    setup = float(doc["setup_ns"])
-    o_min = float(doc["min_glitch_ns"])
+    period = _number(doc["clock_period_ns"], "clock_period_ns")
+    setup = _number(doc["setup_ns"], "setup_ns")
+    o_min = _number(doc["min_glitch_ns"], "min_glitch_ns")
     seed = doc["bit_spread_seed"]
     _require(period > 0, "clock_period_ns must be positive")
     _require(0 < setup < period, "setup_ns must lie inside the clock period")
-    _require(isinstance(seed, int) and seed >= 0,
+    _require(isinstance(seed, int) and not isinstance(seed, bool)
+             and seed >= 0,
              "bit_spread_seed must be a non-negative integer")
 
     raw_crit = doc["crit_ns"]
@@ -192,7 +204,7 @@ def timing_from_dict(doc: dict) -> TimingModel:
         _require(isinstance(row, dict) and set(row) == set(LATCHES),
                  f"crit_ns[{iclass!r}] must cover exactly {list(LATCHES)}")
         for latch, value in row.items():
-            value = float(value)
+            value = _number(value, f"crit_ns[{iclass!r}][{latch!r}]")
             _require(0 < value < period - setup,
                      f"crit_ns[{iclass!r}][{latch!r}]={value} must be in "
                      f"(0, {period - setup})")
@@ -208,7 +220,7 @@ def timing_from_dict(doc: dict) -> TimingModel:
                  f"field_factors[{latch!r}] must cover exactly {sorted(names)}")
         factors[latch] = {}
         for fname, fac in row.items():
-            fac = float(fac)
+            fac = _number(fac, f"field_factors[{latch!r}][{fname!r}]")
             _require(0 < fac <= 1.0,
                      f"field_factors[{latch!r}][{fname!r}]={fac} "
                      "must be in (0, 1]")
@@ -240,7 +252,7 @@ def save_timing(model: TimingModel, path) -> None:
 
 
 def reference_timing() -> TimingModel:
-    """The synthetic annotation set shipped as fixtures/timing_ref.json.
+    """A fresh copy of the synthetic annotation set in REFERENCE_TIMING.
 
     Numbers are hand-picked to exercise the interesting structure: loads are
     the slowest fetch-side class, divides dominate the execute latch, writeback
@@ -248,30 +260,4 @@ def reference_timing() -> TimingModel:
     so the per-class threshold equals t_crit + t_setup.
     """
 
-    crit = {
-        #              IF_ID  ID_EX  EX_WB
-        "ALU_REG":    (7.9,   7.0,   4.5),
-        "ALU_IMM":    (7.8,   7.0,   4.5),
-        "LOAD":       (8.6,   7.6,   5.2),
-        "STORE":      (8.1,   7.4,   4.2),
-        "BRANCH":     (8.0,   7.8,   4.0),
-        "JUMP":       (7.7,   7.2,   4.4),
-        "UPPER":      (7.5,   6.2,   4.3),
-        "MULDIV":     (8.2,   8.2,   6.0),
-        "SYSTEM":     (7.2,   5.5,   3.5),
-    }
-    doc = {
-        "clock_period_ns": 10.0,
-        "setup_ns": 0.2,
-        "min_glitch_ns": 1.0,
-        "crit_ns": {name: dict(zip(LATCHES, row)) for name, row in crit.items()},
-        "field_factors": {
-            "IF_ID": {"instr_word": 1.0, "pc": 0.75, "valid": 0.12},
-            "ID_EX": {"control": 0.9, "rs1_val": 1.0, "rs2_val": 0.97,
-                      "imm": 0.85, "rd": 0.6, "pc": 0.5, "valid": 0.1},
-            "EX_WB": {"result": 1.0, "rd": 0.5, "is_load": 0.35,
-                      "mem_data": 0.96, "valid": 0.1},
-        },
-        "bit_spread_seed": 0x5EED5EED,
-    }
-    return timing_from_dict(doc)
+    return load_timing(REFERENCE_TIMING)

@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .asm import Program, Segment, assemble
+from .asm import Program, assemble
 from .isa import IClass
 from .machine import OUTPUT_PORT
 
@@ -32,8 +32,6 @@ N_INPUTS = 32
 L1_BASE = 0x400
 INPUT_BASE = 0x600
 INPUT_SYMBOL = "input_data"
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,9 @@ def reference_bnn_forward(model: BnnModel, x: int) -> BnnResult:
     return BnnResult(hidden, tuple(margins), winner)
 
 
-def generate_bnn_asm(model: BnnModel) -> str:
-    """Emit the guest program. Input words start zeroed; bind_input
-    patches them so one image serves all stimuli."""
+def generate_bnn_asm(model: BnnModel, stimulus: int = 0) -> str:
+    """Emit the guest program with the 64-bit `stimulus` as its input
+    words, low word first."""
 
     lines = [
         "# binarized 64-16-10 classifier, xnor/popcount",
@@ -189,44 +187,23 @@ def generate_bnn_asm(model: BnnModel) -> str:
     lines += [
         f".org {INPUT_BASE:#x}",
         f"{INPUT_SYMBOL}:",
-        "    .word 0",
-        "    .word 0",
+        f"    .word {stimulus & 0xFFFFFFFF}",
+        f"    .word {stimulus >> 32 & 0xFFFFFFFF}",
         "",
     ]
     return "\n".join(lines)
 
 
-def bind_input(program: Program, value: int) -> Program:
-    """New Program with the 64-bit stimulus patched over the input slot."""
-
-    addr = program.symbols[INPUT_SYMBOL]
-    raw = (value & _MASK64).to_bytes(8, "little")
-    segments = []
-    patched = False
-    for seg in program.segments:
-        if seg.base <= addr and addr + 8 <= seg.end:
-            data = bytearray(seg.data)
-            off = addr - seg.base
-            data[off:off + 8] = raw
-            segments.append(Segment(seg.base, bytes(data)))
-            patched = True
-        else:
-            segments.append(seg)
-    if not patched:
-        raise ValueError("input slot not backed by a segment")
-    return Program(program.entry, segments, dict(program.symbols))
-
-
 def bnn_program(model: BnnModel | None = None, *,
                 input_index: int | None = None) -> Program:
     model = model or make_bnn_model()
-    prog = assemble(generate_bnn_asm(model))
+    stimulus = 0
     if input_index is not None:
         if not 0 <= input_index < len(model.inputs):
             raise ValueError(f"bnn input index {input_index} is outside "
                              f"0..{len(model.inputs) - 1}")
-        prog = bind_input(prog, model.inputs[input_index])
-    return prog
+        stimulus = model.inputs[input_index]
+    return assemble(generate_bnn_asm(model, stimulus))
 
 
 # ---------------- microbenchmarks ----------------

@@ -13,7 +13,8 @@ import glitchbench
 
 from glitchbench.cli import main
 from glitchbench.campaign import build_plan, run_campaign
-from glitchbench.rat import build_static_rat, rat_to_csv
+from glitchbench.rat import (build_static_rat, rat_to_csv,
+                             verify_rat_empirically)
 from glitchbench.timing import load_timing, reference_timing, save_timing
 from glitchbench.workloads import workload_program, workload_source
 
@@ -289,6 +290,27 @@ def test_rat_verify_small(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("mode", ["--verify", "--dynamic"])
+def test_rat_on_a_run_that_does_not_halt_exits_3(mode, capsys):
+    assert run_cli("rat", "--workload", "mb_alu_imm", mode,
+                   "--max-cycles", "6") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: mb_alu_imm did not halt within 6 cycles\n"
+
+
+def test_rat_verify_checks_the_windows_of_its_own_run(capsys):
+    assert run_cli("rat", "--workload", "mb_system", "--verify",
+                   "--max-windows", "3", "--json") == 0
+    rows = json.loads(capsys.readouterr().out)["windows"]
+    checks = verify_rat_empirically(workload_program("mb_system"),
+                                    reference_timing(), max_windows=3)
+    assert [(r["cycle"], r["latch"], r["empirical"], r["probes"])
+            for r in rows] == \
+        [(c.window.cycle, c.window.latch,
+          [c.empirical_lo, c.empirical_hi], c.probes) for c in checks]
+
+
 def test_inject_json_payload(capsys):
     assert run_cli("inject", "--workload", "mb_load", "--cycle", "7",
                    "--offset", "2.0", "--policy", "zero_late_bits",
@@ -355,6 +377,37 @@ def test_timing_env_and_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GLITCHBENCH_TIMING", str(tmp_path / "nope.json"))
     assert run_cli("rat") == 2
     capsys.readouterr()
+
+
+def test_timing_file_with_non_finite_values_exits_2(tmp_path, capsys):
+    doc = reference_timing().to_dict()
+    doc["clock_period_ns"] = float("inf")
+    inf = tmp_path / "inf.json"
+    inf.write_text(json.dumps(doc))   # written as Infinity
+    assert run_cli("rat", "--timing", str(inf)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad timing model: clock_period_ns must be a " \
+                  "finite number\n"
+
+
+@pytest.mark.parametrize("argv, offset", [
+    (("inject", "--workload", "mb_alu_imm", "--cycle", "3",
+      "--offset", "20"), "20.0"),
+    (("campaign", "--workload", "mb_alu_imm", "--offset-range", "0.5:9:0.5",
+      "-o", "OUT"), "0.5"),
+])
+def test_offset_outside_the_glitch_range_is_not_a_bad_model(argv, offset,
+                                                           tmp_path, capsys):
+    argv = [str(tmp_path / "rep.json") if a == "OUT" else a for a in argv]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: offset {offset} outside [1.0, 10.0)\n"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli(*argv, "--timing", str(bad)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bad timing model: timing file is not valid JSON")
 
 
 def test_workload_listing(capsys):

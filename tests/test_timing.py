@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pathlib
@@ -20,8 +21,10 @@ def tm():
     return load_timing(FIXTURE)
 
 
-def test_shipped_fixture_matches_builder(tm):
-    assert tm.to_dict() == reference_timing().to_dict()
+def test_shipped_fixture_is_frozen():
+    # the fixture is the only statement of the reference model
+    assert hashlib.sha256(FIXTURE.read_bytes()).hexdigest() == \
+        "568942f3b6c5413f320793ace9340be2000f09ec4fae93169493fcb0e44c084e"
 
 
 def test_fixture_scalars(tm):
@@ -139,6 +142,12 @@ def test_threshold_uses_max_factor(tm):
     (lambda d: d["field_factors"]["IF_ID"].__setitem__("bogus", 0.5), "IF_ID"),
     (lambda d: d.__setitem__("min_glitch_ns", 4.0), "min_glitch_ns"),
     (lambda d: d.__setitem__("bit_spread_seed", "x"), "bit_spread_seed"),
+    (lambda d: d.__setitem__("bit_spread_seed", True), "non-negative integer"),
+    (lambda d: d.__setitem__("clock_period_ns", math.inf),
+     "clock_period_ns must be a finite number"),
+    (lambda d: d.__setitem__("clock_period_ns", "10.0"),
+     "must be a finite number"),
+    (lambda d: d["crit_ns"]["LOAD"].__setitem__("IF_ID", math.nan), "IF_ID"),
 ])
 def test_validation_rejects(mutate, fragment):
     doc = copy.deepcopy(reference_timing().to_dict())

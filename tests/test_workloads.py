@@ -9,7 +9,7 @@ from glitchbench.isa import IClass, decode
 from glitchbench.machine import run_golden
 from glitchbench.pipeline import run_pipeline
 from glitchbench.workloads import (
-    BNN_SEED, N_HIDDEN, N_INPUTS, bind_input, bnn_program,
+    BNN_SEED, N_HIDDEN, N_INPUTS, bnn_program,
     generate_bnn_asm, make_bnn_model, microbench, reference_bnn_forward,
     render_bnn_fixture_json, workload_names, workload_program,
     xnor_popcount,
@@ -82,21 +82,6 @@ def test_inner_loop_reloads_weights_every_neuron():
     assert cmp_hits == N_HIDDEN
 
 
-def test_bind_input_patches_without_mutating_base():
-    base = bnn_program(MODEL)
-    addr = base.symbols["input_data"]
-    bound = bind_input(base, 0x1122334455667788)
-    words = bound.words()
-    assert words[addr] == 0x55667788
-    assert words[addr + 4] == 0x11223344
-    assert base.words()[addr] == 0
-    # out-of-segment slot rejected
-    import dataclasses
-    broken = dataclasses.replace(base, symbols={"input_data": 0x9000})
-    with pytest.raises(ValueError):
-        bind_input(broken, 1)
-
-
 def test_code_stays_clear_of_data_region():
     prog = bnn_program(MODEL)
     code_end = max(s.end for s in prog.segments if s.base < 0x400)
@@ -134,6 +119,7 @@ def test_workload_registry():
         workload_program("mb_quantum")
     with pytest.raises(ValueError):
         workload_program("mb_load", input_index=1)
-    with_input = workload_program("bnn", input_index=3)
-    assert with_input.words()[with_input.symbols["input_data"]] \
-        == MODEL.inputs[3] & 0xFFFFFFFF
+    for index in (0, 31):
+        prog = workload_program("bnn", input_index=index)
+        words, addr = prog.words(), prog.symbols["input_data"]
+        assert words[addr] | words[addr + 4] << 32 == MODEL.inputs[index]
