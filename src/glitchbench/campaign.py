@@ -16,8 +16,7 @@ import json
 import math
 import multiprocessing
 from collections import Counter
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .asm import Program
@@ -185,25 +184,7 @@ class OutcomeRecord:
     divergence: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "cycle": self.cycle,
-            "offset_idx": self.offset_idx,
-            "offset_ns": self.offset_ns,
-            "outcome": self.outcome,
-            "effect": self.effect,
-            "mechanisms": list(self.mechanisms),
-            "corrupted": list(self.corrupted),
-            "root_cause": self.root_cause,
-            "root_iclass": self.root_iclass,
-            "root_pc": self.root_pc,
-            "misclassified": self.misclassified,
-            "cycles": self.cycles,
-            "halt_cause": self.halt_cause,
-            "exit_code": self.exit_code,
-            "output": list(self.output),
-            "divergence": self.divergence,
-        }
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     def to_csv_row(self) -> str:
         return ",".join([
@@ -216,6 +197,9 @@ class OutcomeRecord:
             str(self.cycles), self.halt_cause or "",
             ";".join(str(v) for v in self.output),
         ])
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(OutcomeRecord))
 
 
 def first_divergence(golden_pcs, faulty_pcs, changed_events) -> dict:
@@ -314,10 +298,8 @@ def from_reset_record(plan: CampaignPlan, golden: RunSummary,
 def _probe(plan: CampaignPlan, golden: RunSummary, baseline: Pipeline,
            base_pcs: tuple[int, ...], cycle: int, k: int, budget: int,
            memo: dict) -> OutcomeRecord:
-    fork = baseline.fork()
-    fork.schedule(GlitchSpec(cycle, plan.offset(k),
-                             plan.policy, plan.illegal_policy))
-    fork.clock()
+    fork = baseline.glitched(GlitchSpec(cycle, plan.offset(k),
+                                        plan.policy, plan.illegal_policy))
     changed = [e for e in fork.corruptions if e.changed]
     if not changed:
         # the shortened cycle met timing everywhere that mattered; the
@@ -346,8 +328,7 @@ def _simulate_cycles(plan: CampaignPlan, golden: RunSummary,
     records = []
     for cycle in sorted(cycles):
         while baseline.cycle < cycle and not baseline.arch.halted:
-            if not baseline.clock():
-                break
+            baseline.clock()
         base_pcs = tuple(e.pc for e in baseline.retires)
         # continuations by post-glitch state key; the hang budget is an
         # absolute cycle, so no entry may outlive its glitch cycle
@@ -356,11 +337,6 @@ def _simulate_cycles(plan: CampaignPlan, golden: RunSummary,
             records.append(_probe(plan, golden, baseline, base_pcs,
                                   cycle, k, budget, memo))
     return records
-
-
-def _worker(args) -> list[OutcomeRecord]:
-    plan, golden, cycles = args
-    return _simulate_cycles(plan, golden, cycles)
 
 
 @dataclass
@@ -429,11 +405,8 @@ class CampaignResult:
         return json.dumps(self.report(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for r in self.records:
-            buf.write(r.to_csv_row() + "\n")
-        return buf.getvalue()
+        return CSV_HEADER + "\n" + "".join(
+            r.to_csv_row() + "\n" for r in self.records)
 
 
 def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
@@ -455,24 +428,19 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     return record, full, golden
 
 
-def run_campaign(plan: CampaignPlan, golden: RunSummary | None = None,
-                 *, jobs: int = 1) -> CampaignResult:
-    if golden is None:
-        golden = golden_baseline(plan.program)
+def run_campaign(plan: CampaignPlan, golden: RunSummary, *,
+                 jobs: int = 1) -> CampaignResult:
     cycles = list(plan.cycles)
-    if jobs <= 1 or len(cycles) < 2:
+    jobs = min(jobs, len(cycles))
+    if jobs <= 1:
         records = _simulate_cycles(plan, golden, cycles)
     else:
-        jobs = min(jobs, len(cycles))
-        q, r = divmod(len(cycles), jobs)
-        blocks = []
-        lo = 0
-        for i in range(jobs):
-            hi = lo + q + (1 if i < r else 0)
-            blocks.append((plan, golden, cycles[lo:hi]))
-            lo = hi
+        # contiguous blocks: each worker rolls one baseline forward
+        n = len(cycles)
+        blocks = [(plan, golden, cycles[i * n // jobs:(i + 1) * n // jobs])
+                  for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_worker, blocks)
+            chunks = pool.starmap(_simulate_cycles, blocks)
         records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda rec: rec.index)
     return CampaignResult(plan, golden, records)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -36,6 +37,10 @@ EXIT_NOT_HALTED = 3
 
 TOLERANCE_NS = 0.01      # rat --verify boundary tolerance
 
+# least value of each counted option; --tolerance must also be finite
+LEAST = {"jobs": 1, "max_cycles": 1, "max_windows": 0, "top": 0,
+         "tolerance": 0}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; keep 2 for bad *input files* instead
@@ -46,6 +51,18 @@ class _Parser(argparse.ArgumentParser):
 
 class _InputError(Exception):
     pass
+
+
+def _check_counts(args) -> None:
+    """Reject a counted option below its least value; unset ones pass."""
+
+    for name, least in LEAST.items():
+        value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        if value is not None and not value >= least:  # nan fails too
+            raise _InputError(f"{flag} must be at least {least}, got {value}")
+        if value == math.inf:
+            raise _InputError(f"{flag} must be finite, got {value}")
 
 
 def _resolve_timing(args) -> "TimingModel":
@@ -131,6 +148,7 @@ def cmd_asm(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _check_counts(args)
     prog, label = _load_program(args)
     if args.golden:
         gold = run_golden(prog, max_steps=args.max_cycles, strict=args.strict)
@@ -168,6 +186,7 @@ def cmd_rat(args) -> int:
         args.error("--tolerance needs --verify")
     if args.max_cycles is not None and not (args.dynamic or args.verify):
         args.error("--max-cycles needs --dynamic or --verify")
+    _check_counts(args)
     tolerance = TOLERANCE_NS if args.tolerance is None else args.tolerance
     max_cycles = MAX_CYCLES if args.max_cycles is None else args.max_cycles
     timing = _resolve_timing(args)
@@ -176,9 +195,6 @@ def cmd_rat(args) -> int:
         _emit(args, rat_to_csv(entries), [asdict(e) for e in entries])
         return EXIT_OK
     prog, label = _load_program(args)
-    if args.max_windows is not None and args.max_windows < 0:
-        raise _InputError(f"--max-windows must be at least 0, "
-                          f"got {args.max_windows}")
     run = run_pipeline(prog, timing=timing, max_cycles=max_cycles,
                        record_trace=True)
     if run.status != "HALTED":
@@ -233,6 +249,7 @@ def cmd_rat(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    _check_counts(args)
     timing = _resolve_timing(args)
     prog, label = _load_program(args)
     spec = GlitchSpec(args.cycle, args.offset, *_policies(args))
@@ -273,8 +290,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.jobs < 1:
-        raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_counts(args)
     timing = _resolve_timing(args)
     prog, label = _load_program(args)
     cycles = (_range(args.cycles, "lo:hi", partial(int, base=0), "cycle")
@@ -303,8 +319,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.top < 0:
-        raise _InputError(f"--top must be at least 0, got {args.top}")
+    _check_counts(args)
     rep = json.loads(Path(args.report).read_text())
     try:
         text = _report_text(rep, args.top)

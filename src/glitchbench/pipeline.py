@@ -235,6 +235,19 @@ class Pipeline:
         p.trace = None
         return p
 
+    def glitched(self, spec: GlitchSpec) -> "Pipeline":
+        """A fork that has clocked the glitched cycle. The pipeline must be
+        running and at `spec.cycle`, or the glitch would never fire."""
+
+        if self.arch.halted or spec.cycle != self.cycle:
+            raise ValueError(f"cannot glitch cycle {spec.cycle}: the pipeline "
+                             f"is {'halted' if self.arch.halted else 'running'}"
+                             f" at cycle {self.cycle}")
+        fork = self.fork()
+        fork.schedule(spec)
+        fork.clock()
+        return fork
+
     def state_key(self) -> tuple:
         """Hashable summary of everything a glitch-free continuation reads.
 

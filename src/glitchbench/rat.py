@@ -11,15 +11,15 @@ Two views of the same timing data:
     nothing else. A band exists only when the targeted capture needs strictly
     more time than every other capture happening at the same edge.
 
-Predictions are checked against the simulator itself: fork the pipeline just
-before the victim cycle, inject at a candidate offset, and see which latches
-record corruption. Because corruption is confined to the glitch cycle, one
-forked cycle is enough per probe, and boundaries are located by bisection.
+Predictions are checked against the simulator itself: glitch the victim
+cycle of the glitch-free pipeline at a candidate offset (Pipeline.glitched)
+and see which latches record corruption. Because corruption is confined to
+the glitch cycle, one forked cycle is enough per probe, and boundaries are
+located by bisection.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .asm import Program
@@ -48,25 +48,18 @@ class RatEntry:
 def build_static_rat(timing: TimingModel) -> list[RatEntry]:
     """Rank all class/latch captures, most vulnerable (least slack) first."""
 
-    rows = []
-    for (iclass, latch), crit in timing.crit_ns.items():
-        rows.append((crit, iclass, latch))
-    rows.sort(key=lambda r: (-r[0], r[1], r[2]))
-    entries = []
-    for rank, (crit, iclass, latch) in enumerate(rows, start=1):
-        entries.append(RatEntry(
-            iclass, latch, crit, timing.slack(iclass, latch),
-            timing.min_glitch_ns, timing.threshold(iclass, latch), rank))
-    return entries
+    rows = sorted(timing.crit_ns.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [RatEntry(iclass, latch, crit, timing.slack(iclass, latch),
+                     timing.min_glitch_ns, timing.threshold(iclass, latch),
+                     rank)
+            for rank, ((iclass, latch), crit) in enumerate(rows, start=1)]
 
 
 def rat_to_csv(entries: list[RatEntry]) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for e in entries:
-        out.write(f"{e.iclass},{e.latch},{e.t_crit_ns:.6g},{e.slack_ns:.6g},"
-                  f"{e.window_lo_ns:.6g},{e.window_hi_ns:.6g},{e.rank}\n")
-    return out.getvalue()
+    return CSV_HEADER + "\n" + "".join(
+        f"{e.iclass},{e.latch},{e.t_crit_ns:.6g},{e.slack_ns:.6g},"
+        f"{e.window_lo_ns:.6g},{e.window_hi_ns:.6g},{e.rank}\n"
+        for e in entries)
 
 
 @dataclass(frozen=True)
@@ -121,37 +114,17 @@ class WindowCheck:
     probes: int
 
 
-class _Prober:
-    """Shared machinery for empirical checks at one pipeline state."""
+def _bisect(corrupted, lo: float, hi: float, pred) -> float:
+    """Boundary of a monotone predicate of the corrupted latches: true
+    below, false at or above."""
 
-    def __init__(self, base: Pipeline, full_runs=None):
-        self.base = base
-        self.full_runs = full_runs  # (program, max_cycles) to re-run whole
-        self.count = 0
-
-    def corrupted(self, cycle: int, offset: float) -> set[str]:
-        self.count += 1
-        if self.full_runs is not None:
-            program, budget = self.full_runs
-            run = run_pipeline(program, timing=self.base.timing,
-                               glitches=[GlitchSpec(cycle, offset)],
-                               max_cycles=budget)
-            return {c.latch for c in run.corruptions}
-        fork = self.base.fork()
-        fork.schedule(GlitchSpec(cycle, offset))
-        fork.clock()
-        return {c.latch for c in fork.corruptions}
-
-    def bisect(self, cycle: int, lo: float, hi: float, pred) -> float:
-        """Boundary of a monotone predicate: true below, false at/above."""
-
-        while hi - lo > 1e-4:
-            mid = (lo + hi) / 2
-            if pred(self.corrupted(cycle, mid)):
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+    while hi - lo > 1e-4:
+        mid = (lo + hi) / 2
+        if pred(corrupted(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def verify_rat_empirically(program: Program, timing: TimingModel,
@@ -165,7 +138,8 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     For each window the upper boundary (target latch stops corrupting) and,
     when above the glitch floor, the lower boundary (another latch starts
     corrupting) are located by bisection; a grid walk across the interior
-    confirms that exactly the predicted latch is hit.
+    confirms that exactly the predicted latch is hit. Each probe is one
+    `Pipeline.glitched` cycle, or with `full_runs` a from-reset run.
     """
 
     if windows is None:
@@ -175,41 +149,40 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     if max_windows is not None:
         windows = windows[:max_windows]
 
-    by_cycle: dict[int, list[SelectiveWindow]] = {}
-    for w in windows:
-        by_cycle.setdefault(w.cycle, []).append(w)
-
     o_min = timing.min_glitch_ns
     eps = 1e-6
     top = timing.clock_period_ns - eps
     checks = []
     base = Pipeline(program, timing=timing)
-    budget = (program, max_cycles)
-    for cycle in sorted(by_cycle):
-        while base.cycle < cycle and not base.arch.halted:
+    for w in sorted(windows, key=lambda w: w.cycle):
+        while base.cycle < w.cycle and not base.arch.halted:
             base.clock()
-        prober = _Prober(base, budget if full_runs else None)
-        for w in by_cycle[cycle]:
-            n0 = prober.count
-            emp_hi = prober.bisect(cycle, o_min, top,
-                                   lambda hit, L=w.latch: L in hit)
-            if w.lo_ns > o_min + eps:
-                emp_lo = prober.bisect(cycle, o_min, top,
-                                       lambda hit, L=w.latch: hit - {L} != set())
-            else:
-                emp_lo = o_min
-            selective = True
-            off = w.lo_ns + SCAN_STEP_NS / 2
-            while off < w.hi_ns:
-                if prober.corrupted(cycle, off) != {w.latch}:
-                    selective = False
-                    break
-                off += SCAN_STEP_NS
-            above = min(w.hi_ns + eps * 10, top)
-            if prober.corrupted(cycle, above):
-                selective = False
-            checks.append(WindowCheck(
-                w, emp_lo, emp_hi,
-                abs(emp_lo - w.lo_ns), abs(emp_hi - w.hi_ns),
-                selective, prober.count - n0))
+        probes = 0
+
+        def corrupted(offset: float) -> set[str]:
+            nonlocal probes
+            probes += 1
+            spec = GlitchSpec(w.cycle, offset)
+            if full_runs:
+                run = run_pipeline(program, timing=timing, glitches=[spec],
+                                   max_cycles=max_cycles)
+                return {c.latch for c in run.corruptions}
+            return {c.latch for c in base.glitched(spec).corruptions}
+
+        emp_hi = _bisect(corrupted, o_min, top, lambda hit: w.latch in hit)
+        if w.lo_ns > o_min + eps:
+            emp_lo = _bisect(corrupted, o_min, top,
+                             lambda hit: hit - {w.latch} != set())
+        else:
+            emp_lo = o_min
+        selective = True
+        off = w.lo_ns + SCAN_STEP_NS / 2
+        while selective and off < w.hi_ns:
+            selective = corrupted(off) == {w.latch}
+            off += SCAN_STEP_NS
+        if corrupted(min(w.hi_ns + eps * 10, top)):
+            selective = False
+        checks.append(WindowCheck(
+            w, emp_lo, emp_hi, abs(emp_lo - w.lo_ns), abs(emp_hi - w.hi_ns),
+            selective, probes))
     return checks

@@ -130,9 +130,7 @@ def test_c2_safe_offsets_are_always_no_effect():
         for cycle, off, policy in sorted(triples, key=lambda t: t[:2]):
             while baseline.cycle < cycle and not baseline.arch.halted:
                 baseline.clock()
-            fork = baseline.fork()
-            fork.schedule(GlitchSpec(cycle, off, policy))
-            fork.clock()
+            fork = baseline.glitched(GlitchSpec(cycle, off, policy))
             assert not fork.corruptions, (name, cycle, off, policy)
             checked += 1
     assert checked == 1000
@@ -165,9 +163,7 @@ def test_c3_decode_attack_replaces_a_load_and_misclassifies():
                 while off < w.hi_ns:
                     spec = GlitchSpec(w.cycle, off, policy,
                                       IllegalPolicy.NOP_REPLACE)
-                    probe = baseline.fork()
-                    probe.schedule(spec)
-                    probe.clock()
+                    probe = baseline.glitched(spec)
                     if any(m.kind == "NOP_REPLACEMENT"
                            for m in probe.mechanisms) and tried < 400:
                         tried += 1

@@ -240,6 +240,20 @@ def test_worker_split_is_byte_identical(swept):
         assert again.to_csv() == res.to_csv()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_hand_built_plan_past_the_golden_run_is_rejected(jobs):
+    """A grid cycle at or past the end of the glitch-free run has no
+    pipeline to glitch (mb_system halts after 24 cycles)."""
+
+    prog = workload_program("mb_system")
+    golden = golden_baseline(prog)
+    assert golden.cycles == 24
+    for lo, hi in ((23, 25), (24, 25), (30, 31)):
+        plan = CampaignPlan(prog, TIMING, lo, hi, 3.0, 1.0, 4)
+        with pytest.raises(ValueError, match="halted"):
+            run_campaign(plan, golden, jobs=jobs)
+
+
 def test_hang_records_exhaust_the_budget(swept):
     plan, golden, res = swept
     hangs = [r for r in res.records if r.outcome == HANG]

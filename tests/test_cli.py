@@ -116,13 +116,37 @@ def small_report(tmp_path_factory):
     (("report", "REPORT", "--top", "-1"), "--top must be at least 0"),
     (("inject", "--workload", "mb_system", "--cycle", "-1",
       "--offset", "5.0"), "glitch cycle must be at least 0"),
+    *[((*cmd, "--max-cycles", n), f"--max-cycles must be at least 1, got {n}")
+      for n in ("0", "-5")
+      for cmd in (("run", "--workload", "mb_system"),
+                  ("rat", "--workload", "mb_system", "--dynamic"),
+                  ("inject", "--workload", "mb_system", "--cycle", "3",
+                   "--offset", "5.0"),
+                  ("campaign", "--workload", "mb_system", "--cycles", "2:4",
+                   "-o", "REPORT"))],
+    *[(("rat", "--workload", "mb_system", "--verify", "--max-windows", "1",
+        "--tolerance", v), message)
+      for v, message in (("-1", "--tolerance must be at least 0, got -1.0"),
+                         ("nan", "--tolerance must be at least 0, got nan"),
+                         ("inf", "--tolerance must be finite, got inf"))],
 ])
 def test_negative_counts_and_cycles_exit_2(argv, message, small_report,
                                            capsys):
     capsys.readouterr()
     argv = [str(small_report) if a == "REPORT" else a for a in argv]
+    report = small_report.read_bytes()
     assert run_cli(*argv) == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+    # a rejected campaign leaves its report file alone
+    assert small_report.read_bytes() == report
+
+
+def test_a_one_cycle_budget_is_accepted(capsys):
+    assert run_cli("run", "--workload", "mb_system", "--max-cycles", "1") == 3
+    assert "NOT_HALTED after cycle 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -218,6 +242,11 @@ def test_strict_only_where_it_acts(argv, code, tmp_path, capsys):
     (("rat", "--max-windows", "3"), "--max-windows needs --verify"),
     (("rat", "--tolerance", "5"), "--tolerance needs --verify"),
     (("rat", "--max-cycles", "3"), "--max-cycles needs --dynamic or --verify"),
+    # the usage error comes before the value check
+    (("rat", "--max-windows", "-1"), "--max-windows needs --verify"),
+    (("rat", "--workload", "mb_system", "--dynamic", "--tolerance", "nan"),
+     "--tolerance needs --verify"),
+    (("rat", "--max-cycles", "0"), "--max-cycles needs --dynamic or --verify"),
 ])
 def test_rat_rejects_input_it_would_ignore(argv, message, capsys):
     assert run_cli(*argv) == 1

@@ -375,9 +375,7 @@ def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
         base = Pipeline(plan.program, timing=TM)
         for cycle in plan.cycles:
             for k in range(plan.offset_count):
-                f = base.fork()
-                f.schedule(GlitchSpec(cycle, plan.offset(k), policy))
-                f.clock()
+                f = base.glitched(GlitchSpec(cycle, plan.offset(k), policy))
                 kinds |= {m.kind for m in f.mechanisms}
                 for slot in SLOTS:
                     assert not getattr(f, slot).valid or isinstance(
@@ -419,6 +417,51 @@ def test_forks_leave_the_parent_untouched():
                      "NOP_REPLACEMENT"}
 
 
+@pytest.mark.parametrize("name", ["mb_load", "mb_branch"])
+def test_glitched_fork_equals_a_scheduled_fork(name):
+    """`glitched` is a fork with the glitch scheduled, clocked once: every
+    cycle of the run, a few offsets, all three corruption policies."""
+
+    prog = workload_program(name)
+    base = Pipeline(prog, timing=TM)
+    fresh = Pipeline(prog, timing=TM)
+    changed = 0
+    while not base.arch.halted:
+        for policy in CorruptionPolicy:
+            for offset in (1.0, 3.5, 6.0, 8.5):
+                spec = GlitchSpec(base.cycle, offset, policy)
+                probe = base.glitched(spec)
+                f = base.fork()
+                f.schedule(spec)
+                f.clock()
+                assert probe.cycle == f.cycle == spec.cycle + 1
+                assert probe.corruptions == f.corruptions
+                assert probe.mechanisms == f.mechanisms
+                assert probe.retires == f.retires
+                assert all(getattr(probe, a) == getattr(f, a)
+                           for slot in SLOTS for a in (slot, slot + "_meta"))
+                assert probe.state_key() == f.state_key()
+                changed += any(e.changed for e in probe.corruptions)
+        assert vars(base) == vars(fresh), (name, base.cycle)
+        base.clock()
+        fresh.clock()
+    assert changed
+
+
+def test_glitched_needs_the_running_pipeline_at_the_glitch_cycle():
+    p = Pipeline(workload_program("mb_system"), timing=TM)
+    p.run(5)
+    for cycle in (4, 6, 100):
+        with pytest.raises(ValueError,
+                           match=f"cycle {cycle}: .* running at cycle 5"):
+            p.glitched(GlitchSpec(cycle, 5.0))
+    assert p.glitched(GlitchSpec(5, 5.0)).cycle == 6
+    p.run(1000)
+    assert p.arch.halted
+    with pytest.raises(ValueError, match="halted"):
+        p.glitched(GlitchSpec(p.cycle, 5.0))
+
+
 @pytest.mark.parametrize("policy", [CorruptionPolicy.STALE_BITS,
                                     CorruptionPolicy.ZERO_LATE_BITS])
 def test_no_run_replaces_one_pc_twice(policy):
@@ -436,9 +479,7 @@ def test_no_run_replaces_one_pc_twice(policy):
         for cycle in plan.cycles:
             tails = {}  # state after the glitched cycle -> its NOP pcs
             for k in range(plan.offset_count):
-                f = base.fork()
-                f.schedule(GlitchSpec(cycle, plan.offset(k), policy))
-                f.clock()
+                f = base.glitched(GlitchSpec(cycle, plan.offset(k), policy))
                 before = len(f.mechanisms)
                 key = f.state_key()
                 if key not in tails:

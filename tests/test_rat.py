@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from glitchbench.asm import assemble
@@ -6,6 +8,7 @@ from glitchbench.pipeline import Pipeline, run_pipeline
 from glitchbench.rat import (CSV_HEADER, build_dynamic_rat, build_static_rat,
                              rat_to_csv, verify_rat_empirically)
 from glitchbench.timing import reference_timing
+from glitchbench.workloads import workload_program
 
 TM = reference_timing()
 
@@ -108,6 +111,20 @@ def test_fast_probe_agrees_with_full_runs():
         assert f.empirical_hi == pytest.approx(s.empirical_hi, abs=2e-4)
         assert f.empirical_lo == pytest.approx(s.empirical_lo, abs=2e-4)
         assert f.selective == s.selective
+
+
+def test_windows_past_the_halt_are_rejected():
+    """A window whose cycle the glitch-free run never reaches cannot be
+    probed: mb_system halts after 24 cycles."""
+
+    prog = workload_program("mb_system")
+    run = run_pipeline(prog, record_trace=True)
+    w = build_dynamic_rat(run, TM)[0]
+    assert verify_rat_empirically(prog, TM, [w])
+    for cycle in (run.cycles, 101):
+        late = dataclasses.replace(w, cycle=cycle)
+        with pytest.raises(ValueError, match="halted"):
+            verify_rat_empirically(prog, TM, [late, late])
 
 
 def first_latch_difference(prog, spec):
