@@ -11,6 +11,7 @@ warning unless strict mode is on, in which case they trap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import isa
 from .asm import Program
@@ -59,8 +60,7 @@ def _nonzero(mem: dict[int, int]) -> dict[int, int]:
     return {a: v for a, v in mem.items() if v}
 
 
-@dataclass(frozen=True, slots=True)
-class StepEvent:
+class StepEvent(NamedTuple):
     """One retired instruction, as observed architecturally."""
 
     pc: int
@@ -347,8 +347,7 @@ def step(state: ArchState) -> StepEvent:
         # fence: no effect
 
     state.pc = next_pc
-    return StepEvent(pc, next_pc, word, m, reg_write=reg_write,
-                     mem_write=mem_write, output=output, halt=halt)
+    return StepEvent(pc, next_pc, word, m, reg_write, mem_write, output, halt)
 
 
 @dataclass

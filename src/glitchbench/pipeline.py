@@ -35,10 +35,10 @@ from .asm import Program
 from .glitch import (CorruptionEvent, GlitchSpec, IllegalPolicy,
                      LatchCapture, plan_effect)
 from .isa import (CLASS_OF, NOP_WORD, OP_ALU_REG, OP_LOAD, OP_STORE,
-                  REG_READS, IClass, Illegal, Instruction, by_funct3)
+                  REG_READS, IClass, Illegal, by_funct3, decode)
 from .latches import LATCH_TYPE, LATCHES, bubble
 from .machine import (ALU_OP4, BRANCH_OP4, ArchState, StepEvent, alu,
-                      branch_taken, cached_decode, load_program)
+                      branch_taken, load_program)
 from .timing import TimingModel
 
 MASK32 = 0xFFFFFFFF
@@ -96,6 +96,27 @@ CONTROL["fence"] = _ctl(UNIT_SYSTEM, sys2=0)
 CONTROL["ecall"] = _ctl(UNIT_SYSTEM, sys2=1)
 CONTROL["ebreak"] = _ctl(UNIT_SYSTEM, sys2=2)
 
+
+class _WordTable(dict):
+    """word -> (mnemonic, class name, control word, use_rs1, use_rs2, rs1,
+    rs2, rd, imm & MASK32), everything fetch and decode derive from a word,
+    or None for an illegal word. rd is 0 unless the control word writes a
+    register. A word is decoded the first time it is looked up."""
+
+    def __missing__(self, word: int) -> tuple | None:
+        d = decode(word)
+        entry = None
+        if not isinstance(d, Illegal):
+            m = d.mnemonic
+            control = CONTROL[m]
+            entry = (m, d.iclass.value, control, *REG_READS[m], d.rs1, d.rs2,
+                     d.rd if control & F_REG_WRITE else 0, d.imm & MASK32)
+        self[word] = entry
+        return entry
+
+
+WORDS = _WordTable()
+
 # latch -> attributes of its value, meta, previous value and previous meta
 _LATCH_ATTRS = {
     "IF_ID": ("if_id", "if_id_meta", "prev_if_id", "prev_if_id_meta"),
@@ -125,7 +146,8 @@ class SlotMeta(NamedTuple):
     `mem_write`/`output` feed the retire log. `dyn_id`, `raw`, `mnemonic`
     and `iclass_name` only label traces, retire records and glitch
     captures. `Pipeline.state_key` holds the fields that count.
-    Every valid slot carries one; a stage derives the next with `_replace`.
+    Every valid slot carries one. On the clean path each stage builds the
+    next positionally; the trap, illegal and squash paths use `_replace`.
     """
 
     dyn_id: int
@@ -282,10 +304,6 @@ class Pipeline:
         return PipelineRun(self.arch, status, self.cycle, self.retires,
                            self.corruptions, self.mechanisms, self.trace)
 
-    def _next_dyn(self) -> int:
-        self.dyn_counter += 1
-        return self.dyn_counter
-
     # -- one cycle -----------------------------------------------------------
 
     def clock(self) -> bool:
@@ -378,9 +396,9 @@ class Pipeline:
             arch.regs[rd] = new
         halt_cause = meta.halt[0] if meta.halt else None
         self.retires.append(StepEvent(meta.pc, meta.next_pc, meta.raw,
-                                      meta.mnemonic, reg_write=reg_write,
-                                      mem_write=meta.mem_write,
-                                      output=meta.output, halt=halt_cause))
+                                      meta.mnemonic, reg_write,
+                                      meta.mem_write, meta.output,
+                                      halt_cause))
         arch.pc = meta.next_pc
         if meta.halt:
             arch.halted = True
@@ -482,8 +500,11 @@ class Pipeline:
                                      mem_write=None, output=None, halt=None)
             return True, ExWb(0, 0, 0, 0, 1), out_meta, None, None, True
 
-        out_meta = meta._replace(pc=pc, next_pc=next_pc, mem_write=mem_write,
-                                 output=output, halt=halt)
+        (dyn_id, _, raw, mnemonic, iclass, fault_cause, trap_cause,
+         _, _, _, _, word_corrupted) = meta
+        out_meta = SlotMeta(dyn_id, pc, raw, mnemonic, iclass, fault_cause,
+                            trap_cause, next_pc, mem_write, output, halt,
+                            word_corrupted)
         slot = ExWb(result, rd, is_load, mem_data, 1)
         forward = (rd, result) if rd and not is_load else None
         return True, slot, out_meta, forward, redirect, halt is not None
@@ -504,24 +525,21 @@ class Pipeline:
             out = meta._replace(pc=pc, iclass_name="SYSTEM")
             return slot, out, "SYSTEM", False
 
-        d = cached_decode(word)
-        if isinstance(d, Illegal):
+        e = WORDS[word]
+        if e is None:
             if self.illegal_policy is IllegalPolicy.NOP_REPLACE:
                 if meta.word_corrupted:
                     self.mechanisms.append(MechanismEvent(
                         "NOP_REPLACEMENT", self.cycle, pc,
                         f"word 0x{word:08X}"))
-                d = cached_decode(NOP_WORD)
+                e = WORDS[NOP_WORD]
             else:
                 slot = IdEx(trap_carrier_control("ILLEGAL"), 0, 0, 0, 0, pc, 1)
                 out = meta._replace(pc=pc, raw=word, mnemonic="",
                                     iclass_name="SYSTEM",
                                     fault_cause="ILLEGAL")
                 return slot, out, "SYSTEM", False
-        mnemonic = d.mnemonic
-
-        control = CONTROL[mnemonic]
-        use_rs1, use_rs2 = REG_READS[mnemonic]
+        mnemonic, iclass, control, use_rs1, use_rs2, rs1, rs2, rd, imm = e
 
         if not squash:
             # one-cycle gap after a load producing a consumed register
@@ -530,33 +548,32 @@ class Pipeline:
                 ectl = ex.control
                 if ((ectl >> 4) & 7 == UNIT_LOAD and ectl & F_REG_WRITE):
                     lrd = ex.rd & 31
-                    if lrd and ((use_rs1 and d.rs1 == lrd)
-                                or (use_rs2 and d.rs2 == lrd)):
+                    if lrd and ((use_rs1 and rs1 == lrd)
+                                or (use_rs2 and rs2 == lrd)):
                         return _ID_EX_BUBBLE, None, None, True
 
         regs = self.arch.regs
-
-        def operand(r: int) -> int:
-            if ex_forward is not None and ex_forward[0] == r:
-                return ex_forward[1]
-            return regs[r]
-
-        slot = IdEx(control,
-                    operand(d.rs1) if use_rs1 else 0,
-                    operand(d.rs2) if use_rs2 else 0,
-                    d.imm & MASK32,
-                    d.rd if control & F_REG_WRITE else 0,
-                    pc, 1)
-        iclass = d.iclass.value
-        out = meta._replace(pc=pc, raw=word, mnemonic=mnemonic,
-                            iclass_name=iclass)
+        v1 = regs[rs1] if use_rs1 else 0
+        v2 = regs[rs2] if use_rs2 else 0
+        if ex_forward is not None:
+            frd, value = ex_forward
+            if use_rs1 and rs1 == frd:
+                v1 = value
+            if use_rs2 and rs2 == frd:
+                v2 = value
+        slot = IdEx(control, v1, v2, imm, rd, pc, 1)
+        (dyn_id, _, _, _, _, fault_cause, trap_cause, next_pc, mem_write,
+         output, halt, word_corrupted) = meta
+        out = SlotMeta(dyn_id, pc, word, mnemonic, iclass, fault_cause,
+                       trap_cause, next_pc, mem_write, output, halt,
+                       word_corrupted)
         return slot, out, iclass, False
 
     def _fetch_slot(self):
         """Build the IF_ID slot for the word being fetched this cycle."""
 
         pc = self.fetch_pc & MASK32
-        dyn_id = self._next_dyn()
+        self.dyn_counter = dyn_id = self.dyn_counter + 1
         if pc & 3:
             return (IfId(0, pc, 1),
                     SlotMeta(dyn_id, pc, fault_cause="MISALIGNED_FETCH"),
@@ -565,12 +582,10 @@ class Pipeline:
         if word is None:
             return (IfId(0, pc, 1),
                     SlotMeta(dyn_id, pc, fault_cause="FETCH_FAULT"), "SYSTEM")
-        d = cached_decode(word)
-        if isinstance(d, Illegal):
-            return IfId(word, pc, 1), SlotMeta(dyn_id, pc, raw=word), "SYSTEM"
-        return (IfId(word, pc, 1),
-                SlotMeta(dyn_id, pc, raw=word, mnemonic=d.mnemonic),
-                d.iclass.value)
+        e = WORDS[word]
+        if e is None:
+            return IfId(word, pc, 1), SlotMeta(dyn_id, pc, word), "SYSTEM"
+        return IfId(word, pc, 1), SlotMeta(dyn_id, pc, word, e[0]), e[1]
 
     # -- glitch application ----------------------------------------------------
 
@@ -602,12 +617,12 @@ class Pipeline:
                     and target.instr_word != clean.instr_word:
                 new_word = target.instr_word
                 meta = meta._replace(word_corrupted=True, raw=new_word)
-                nd = cached_decode(new_word)
-                if isinstance(nd, Instruction):
+                e = WORDS[new_word]
+                if e is not None:
                     self.mechanisms.append(MechanismEvent(
                         "MUTATED_INSTRUCTION", spec.cycle, target.pc,
                         f"0x{clean.instr_word:08X}->0x{new_word:08X} "
-                        f"({nd.mnemonic})"))
+                        f"({e[0]})"))
             setattr(self, meta_name, meta)
         if changed:
             # a glitch that changes no latch leaves the run glitch-free
@@ -627,13 +642,8 @@ class Pipeline:
         else:
             pc = self.fetch_pc & MASK32
             word = self.arch.mem.get(pc >> 2) if not pc & 3 else None
-            if word is None:
-                occ["IF"] = (pc, "", None, -1)
-            else:
-                d = cached_decode(word)
-                occ["IF"] = (pc, getattr(d, "mnemonic", ""),
-                             d.iclass.value if isinstance(d, Instruction)
-                             else None, -1)
+            e = None if word is None else WORDS[word]
+            occ["IF"] = (pc, e[0], e[1], -1) if e else (pc, "", None, -1)
         return CycleTrace(self.cycle, occ, self.captures)
 
 

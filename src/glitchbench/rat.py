@@ -139,7 +139,10 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     when above the glitch floor, the lower boundary (another latch starts
     corrupting) are located by bisection; a grid walk across the interior
     confirms that exactly the predicted latch is hit. Each probe is one
-    `Pipeline.glitched` cycle, or with `full_runs` a from-reset run.
+    `Pipeline.glitched` cycle, or with `full_runs` a from-reset run to the
+    end of the glitched cycle. A window at or past the glitch-free halt
+    raises ValueError. `max_cycles` bounds the traced run that predicts
+    the windows when none are given.
     """
 
     if windows is None:
@@ -153,9 +156,10 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     eps = 1e-6
     top = timing.clock_period_ns - eps
     checks = []
-    base = Pipeline(program, timing=timing)
+    base = None if full_runs else Pipeline(program, timing=timing)
     for w in sorted(windows, key=lambda w: w.cycle):
-        while base.cycle < w.cycle and not base.arch.halted:
+        while base is not None and base.cycle < w.cycle \
+                and not base.arch.halted:
             base.clock()
         probes = 0
 
@@ -163,11 +167,15 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
             nonlocal probes
             probes += 1
             spec = GlitchSpec(w.cycle, offset)
-            if full_runs:
-                run = run_pipeline(program, timing=timing, glitches=[spec],
-                                   max_cycles=max_cycles)
-                return {c.latch for c in run.corruptions}
-            return {c.latch for c in base.glitched(spec).corruptions}
+            if base is not None:
+                return {c.latch for c in base.glitched(spec).corruptions}
+            run = run_pipeline(program, timing=timing, glitches=[spec],
+                               max_cycles=w.cycle + 1)
+            if run.cycles <= w.cycle:
+                # glitch-free up to its halt, so the glitch never fired
+                raise ValueError(f"cannot glitch cycle {w.cycle}: the "
+                                 f"pipeline is halted at cycle {run.cycles}")
+            return {c.latch for c in run.corruptions}
 
         emp_hi = _bisect(corrupted, o_min, top, lambda hit: w.latch in hit)
         if w.lo_ns > o_min + eps:

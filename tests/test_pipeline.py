@@ -1,14 +1,19 @@
 import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proggen import random_source
+from rv32_corpus import CORPUS
 from glitchbench.asm import assemble
 from glitchbench.campaign import build_plan
 from glitchbench.glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
-from glitchbench.machine import run_golden
-from glitchbench.pipeline import Pipeline, SlotMeta, run_pipeline
+from glitchbench.isa import CLASS_OF, NOP_WORD, REG_READS, Illegal, decode
+from glitchbench.machine import StepEvent, run_golden
+from glitchbench.pipeline import (CONTROL, F_REG_WRITE, MASK32, WORDS,
+                                  Pipeline, SlotMeta, run_pipeline)
 from glitchbench.timing import TimingError, reference_timing
 from glitchbench.workloads import workload_names, workload_program
 
@@ -537,3 +542,47 @@ def test_trace_digest_is_frozen():
     assert entries == 10_627
     assert {("IF_ID",), ("IF_ID", "ID_EX")} <= held
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+CONTROL_DIGEST = \
+    "c35b8f39d6bdc97aa243aad383cea9a309b99a46a2e7b73a7e44fd653b2ade17"
+
+
+def test_control_word_table_is_frozen():
+    assert len(CONTROL) == 48
+    digest = hashlib.sha256(json.dumps(CONTROL, sort_keys=True).encode())
+    assert digest.hexdigest() == CONTROL_DIGEST
+
+
+def test_word_table_agrees_with_decode():
+    rng = random.Random(11)
+    words = ([w for _, w in CORPUS] + [0x00000000, 0xFFFFFFFF, NOP_WORD]
+             + [rng.getrandbits(32) for _ in range(20_000)])
+    legal = 0
+    for word in words:
+        d = decode(word)
+        entry = WORDS[word]
+        if isinstance(d, Illegal):
+            assert entry is None, hex(word)
+            continue
+        legal += 1
+        m = d.mnemonic
+        control = CONTROL[m]
+        assert entry == (m, CLASS_OF[m].value, control, *REG_READS[m],
+                         d.rs1, d.rs2, d.rd if control & F_REG_WRITE else 0,
+                         d.imm & MASK32), hex(word)
+        assert WORDS[word] is entry
+    # the random sample reaches both legal and illegal words
+    assert len(CORPUS) < legal < len(words) - 2
+
+
+def test_iss_and_pipeline_retire_the_same_step_events_on_bnn():
+    prog = workload_program("bnn", input_index=5)
+    gold = run_golden(prog)
+    run = run_pipeline(prog)
+    assert gold.status == run.status == "HALTED"
+    assert len(run.retires) == len(gold.events) > 1000
+    for mine, ref in zip(run.retires, gold.events):
+        assert type(mine) is type(ref) is StepEvent
+        assert mine._asdict() == ref._asdict()
+    assert run.arch.same_arch(gold.state)

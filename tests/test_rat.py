@@ -103,8 +103,7 @@ def test_empirical_boundaries_match_predictions():
 def test_fast_probe_agrees_with_full_runs():
     prog = assemble(PROG)
     fast = verify_rat_empirically(prog, TM, max_windows=6)
-    slow = verify_rat_empirically(prog, TM, max_windows=6,
-                                  full_runs=True, max_cycles=10_000)
+    slow = verify_rat_empirically(prog, TM, max_windows=6, full_runs=True)
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
         assert f.window == s.window
@@ -125,6 +124,23 @@ def test_windows_past_the_halt_are_rejected():
         late = dataclasses.replace(w, cycle=cycle)
         with pytest.raises(ValueError, match="halted"):
             verify_rat_empirically(prog, TM, [late, late])
+
+
+@pytest.mark.parametrize("full_runs", [False, True])
+def test_both_probe_paths_reject_windows_past_the_halt(full_runs):
+    """The from-reset probe runs only to the end of the glitched cycle, and
+    like the one-cycle probe it raises where the glitch cannot fire."""
+
+    prog = workload_program("mb_system")
+    run = run_pipeline(prog, record_trace=True)
+    last = dataclasses.replace(build_dynamic_rat(run, TM)[0],
+                               cycle=run.cycles - 1)
+    assert verify_rat_empirically(prog, TM, [last], full_runs=full_runs)
+    for cycle in (run.cycles, 101, 10**9):
+        late = dataclasses.replace(last, cycle=cycle)
+        with pytest.raises(ValueError, match=f"cannot glitch cycle {cycle}: "
+                           f"the pipeline is halted at cycle {run.cycles}"):
+            verify_rat_empirically(prog, TM, [late], full_runs=full_runs)
 
 
 def first_latch_difference(prog, spec):
