@@ -10,6 +10,7 @@ warning unless strict mode is on, in which case they trap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,15 +85,7 @@ def _s32(v: int) -> int:
     return v - (1 << 32) if v & 0x80000000 else v
 
 
-_DECODE_CACHE: dict[int, isa.Instruction | isa.Illegal] = {}
-
-
-def cached_decode(word: int) -> isa.Instruction | isa.Illegal:
-    d = _DECODE_CACHE.get(word)
-    if d is None:
-        d = isa.decode(word)
-        _DECODE_CACHE[word] = d
-    return d
+cached_decode = functools.cache(isa.decode)
 
 
 def muldiv(mnemonic: str, a: int, b: int) -> int:
@@ -207,16 +200,11 @@ def load_from(state: ArchState, mnemonic: str, addr: int) -> tuple[int | None, s
         word = 0
     if mnemonic == "lw":
         return word, None
-    shift = (addr & 3) * 8
-    if mnemonic in ("lh", "lhu"):
-        half = (word >> shift) & 0xFFFF
-        if mnemonic == "lh" and half & 0x8000:
-            half -= 0x10000
-        return half & 0xFFFFFFFF, None
-    byte = (word >> shift) & 0xFF
-    if mnemonic == "lb" and byte & 0x80:
-        byte -= 0x100
-    return byte & 0xFFFFFFFF, None
+    bits = 16 if mnemonic in ("lh", "lhu") else 8   # else lb, lbu
+    value = (word >> (addr & 3) * 8) & ((1 << bits) - 1)
+    if mnemonic in ("lh", "lb") and value >> (bits - 1):
+        value -= 1 << bits
+    return value & 0xFFFFFFFF, None
 
 
 def store_effect(state: ArchState, mnemonic: str, addr: int, value: int):
@@ -239,113 +227,90 @@ def store_effect(state: ArchState, mnemonic: str, addr: int, value: int):
         old = state.mem.get(addr >> 2, 0)
         state.mem[addr >> 2] = value
         return (addr, old, value, 4), None, None, None
-    if mnemonic == "sh":
-        if addr & 1:
-            return None, None, None, "MISALIGNED_STORE"
-        old = state.mem.get(addr >> 2, 0)
-        shift = (addr & 3) * 8
-        new = (old & ~(0xFFFF << shift)) | (value & 0xFFFF) << shift
-        state.mem[addr >> 2] = new
-        return (addr, old, new, 2), None, None, None
-    # sb
-    old = state.mem.get(addr >> 2, 0)
+    if mnemonic == "sh" and addr & 1:
+        return None, None, None, "MISALIGNED_STORE"
+    width = 2 if mnemonic == "sh" else 1   # else sb
     shift = (addr & 3) * 8
-    new = (old & ~(0xFF << shift)) | (value & 0xFF) << shift
+    lane = ((1 << width * 8) - 1) << shift
+    old = state.mem.get(addr >> 2, 0)
+    new = (old & ~lane) | (value << shift) & lane
     state.mem[addr >> 2] = new
-    return (addr, old, new, 1), None, None, None
+    return (addr, old, new, width), None, None, None
+
+
+def _trap(state: ArchState, pc: int, cause: str, raw: int = 0,
+          mnem: str = "") -> StepEvent:
+    state.halted = True
+    state.halt_cause = cause
+    return StepEvent(pc, pc, raw, mnem, halt=cause)
 
 
 def step(state: ArchState) -> StepEvent:
-    """Execute one instruction; sets halt state on halts and traps."""
+    """Execute one instruction; sets halt state on halts and traps.
+
+    Each class computes the value for rd (`res`, None when it writes no
+    register) and the next pc; rd is written once at the end.
+    """
 
     pc = state.pc
-
-    def trap(cause: str, raw: int = 0, mnem: str = "") -> StepEvent:
-        state.halted = True
-        state.halt_cause = cause
-        return StepEvent(pc, pc, raw, mnem, halt=cause)
-
     if pc & 3:
-        return trap("MISALIGNED_FETCH")
+        return _trap(state, pc, "MISALIGNED_FETCH")
     word = state.mem.get(pc >> 2)
     if word is None:
-        return trap("FETCH_FAULT")
-
+        return _trap(state, pc, "FETCH_FAULT")
     d = cached_decode(word)
     if isinstance(d, isa.Illegal):
-        return trap("ILLEGAL", raw=word)
+        return _trap(state, pc, "ILLEGAL", word)
 
     m = d.mnemonic
     cls = d.iclass
     regs = state.regs
     next_pc = (pc + 4) & 0xFFFFFFFF
-    reg_write = mem_write = output = halt = None
+    res = reg_write = mem_write = output = halt = None
 
-    if cls is isa.IClass.ALU_IMM or cls is isa.IClass.ALU_REG:
-        b = regs[d.rs2] if cls is isa.IClass.ALU_REG else d.imm & 0xFFFFFFFF
-        res = alu(ALU_OP4[m], regs[d.rs1], b)
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], res)
-            regs[d.rd] = res
-    elif cls is isa.IClass.MULDIV:
-        res = muldiv(m, regs[d.rs1], regs[d.rs2])
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], res)
-            regs[d.rd] = res
+    if cls is isa.IClass.ALU_IMM:
+        res = alu(ALU_OP4[m], regs[d.rs1], d.imm & 0xFFFFFFFF)
+    elif cls is isa.IClass.ALU_REG:
+        res = alu(ALU_OP4[m], regs[d.rs1], regs[d.rs2])
+    elif cls is isa.IClass.BRANCH or cls is isa.IClass.JUMP:
+        # every control transfer: target, misaligned-fetch trap, link
+        if m == "jalr":
+            target = (regs[d.rs1] + d.imm) & 0xFFFFFFFE
+        elif cls is isa.IClass.JUMP or branch_taken(
+                BRANCH_OP4[m], regs[d.rs1], regs[d.rs2]):
+            target = (pc + d.imm) & 0xFFFFFFFF
+        else:
+            target = next_pc
+        if target & 3:
+            return _trap(state, pc, "MISALIGNED_FETCH", word, m)
+        if cls is isa.IClass.JUMP:
+            res = next_pc
+        next_pc = target
     elif cls is isa.IClass.LOAD:
-        addr = (regs[d.rs1] + d.imm) & 0xFFFFFFFF
-        value, cause = load_from(state, m, addr)
+        res, cause = load_from(state, m, regs[d.rs1] + d.imm)
         if cause:
-            return trap(cause, raw=word, mnem=m)
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], value)
-            regs[d.rd] = value
+            return _trap(state, pc, cause, word, m)
     elif cls is isa.IClass.STORE:
-        addr = (regs[d.rs1] + d.imm) & 0xFFFFFFFF
         mem_write, output, halt_info, cause = store_effect(
-            state, m, addr, regs[d.rs2])
+            state, m, regs[d.rs1] + d.imm, regs[d.rs2])
         if cause:
-            return trap(cause, raw=word, mnem=m)
+            return _trap(state, pc, cause, word, m)
         if halt_info:
             state.halted = True
             state.halt_cause, state.exit_code = halt_info
             halt = halt_info[0]
-    elif cls is isa.IClass.BRANCH:
-        if branch_taken(BRANCH_OP4[m], regs[d.rs1], regs[d.rs2]):
-            target = (pc + d.imm) & 0xFFFFFFFF
-            if target & 3:
-                return trap("MISALIGNED_FETCH", raw=word, mnem=m)
-            next_pc = target
-    elif cls is isa.IClass.JUMP:
-        if m == "jal":
-            target = (pc + d.imm) & 0xFFFFFFFF
-        else:
-            target = (regs[d.rs1] + d.imm) & 0xFFFFFFFE
-        if target & 3:
-            return trap("MISALIGNED_FETCH", raw=word, mnem=m)
-        link = (pc + 4) & 0xFFFFFFFF
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], link)
-            regs[d.rd] = link
-        next_pc = target
+    elif cls is isa.IClass.MULDIV:
+        res = muldiv(m, regs[d.rs1], regs[d.rs2])
     elif cls is isa.IClass.UPPER:
-        res = (pc + d.imm) & 0xFFFFFFFF if m == "auipc" else d.imm & 0xFFFFFFFF
-        if d.rd:
-            reg_write = (d.rd, regs[d.rd], res)
-            regs[d.rd] = res
-    else:  # SYSTEM
-        if m == "ebreak":
-            state.halted = True
-            state.halt_cause = "EBREAK"
-            state.exit_code = 0
-            halt = "EBREAK"
-        elif m == "ecall":
-            state.halted = True
-            state.halt_cause = "ECALL"
-            state.exit_code = 0
-            halt = "ECALL"
-        # fence: no effect
+        res = (pc + d.imm if m == "auipc" else d.imm) & 0xFFFFFFFF
+    elif m in ("ebreak", "ecall"):  # SYSTEM; fence has no effect
+        state.halted = True
+        halt = state.halt_cause = m.upper()
+        state.exit_code = 0
 
+    if res is not None and d.rd:
+        reg_write = (d.rd, regs[d.rd], res)
+        regs[d.rd] = res
     state.pc = next_pc
     return StepEvent(pc, next_pc, word, m, reg_write, mem_write, output, halt)
 

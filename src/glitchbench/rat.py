@@ -130,9 +130,7 @@ def _bisect(corrupted, lo: float, hi: float, pred) -> float:
 def verify_rat_empirically(program: Program, timing: TimingModel,
                            windows: list[SelectiveWindow] | None = None,
                            *, max_cycles: int = MAX_CYCLES,
-                           full_runs: bool = False,
-                           max_windows: int | None = None
-                           ) -> list[WindowCheck]:
+                           full_runs: bool = False) -> list[WindowCheck]:
     """Probe every predicted window against the simulator.
 
     For each window the upper boundary (target latch stops corrupting) and,
@@ -149,8 +147,6 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
         base_run = run_pipeline(program, timing=timing,
                                 max_cycles=max_cycles, record_trace=True)
         windows = build_dynamic_rat(base_run, timing)
-    if max_windows is not None:
-        windows = windows[:max_windows]
 
     o_min = timing.min_glitch_ns
     eps = 1e-6

@@ -187,8 +187,9 @@ def test_campaign_matches_from_reset_runs(name, data, policy,
     one cycle meet in the memo."""
 
     golden = _GOLDEN[name]
-    cycle = data.draw(st.integers(0, golden.cycles - 1), label="cycle")
+    # every glitched cycle comes before the glitch-free halt
     width = data.draw(st.integers(1, 2), label="cycles")
+    cycle = data.draw(st.integers(0, golden.cycles - width), label="cycle")
     stride = data.draw(st.integers(1, 16), label="offset stride")
     lo = data.draw(st.integers(0, 126), label="offset index")
     count = data.draw(st.integers(1, min(12, 126 // stride + 1,

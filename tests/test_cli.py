@@ -13,7 +13,8 @@ import glitchbench
 
 from glitchbench.cli import main
 from glitchbench.campaign import build_plan, run_campaign
-from glitchbench.rat import (build_static_rat, rat_to_csv,
+from glitchbench.pipeline import run_pipeline
+from glitchbench.rat import (build_dynamic_rat, build_static_rat, rat_to_csv,
                              verify_rat_empirically)
 from glitchbench.timing import load_timing, reference_timing, save_timing
 from glitchbench.workloads import workload_program, workload_source
@@ -332,8 +333,10 @@ def test_rat_verify_checks_the_windows_of_its_own_run(capsys):
     assert run_cli("rat", "--workload", "mb_system", "--verify",
                    "--max-windows", "3", "--json") == 0
     rows = json.loads(capsys.readouterr().out)["windows"]
-    checks = verify_rat_empirically(workload_program("mb_system"),
-                                    reference_timing(), max_windows=3)
+    prog, timing = workload_program("mb_system"), reference_timing()
+    run = run_pipeline(prog, timing=timing, record_trace=True)
+    checks = verify_rat_empirically(prog, timing,
+                                    build_dynamic_rat(run, timing)[:3])
     assert [(r["cycle"], r["latch"], r["empirical"], r["probes"])
             for r in rows] == \
         [(c.window.cycle, c.window.latch,

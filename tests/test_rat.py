@@ -102,8 +102,10 @@ def test_empirical_boundaries_match_predictions():
 
 def test_fast_probe_agrees_with_full_runs():
     prog = assemble(PROG)
-    fast = verify_rat_empirically(prog, TM, max_windows=6)
-    slow = verify_rat_empirically(prog, TM, max_windows=6, full_runs=True)
+    run = run_pipeline(prog, timing=TM, record_trace=True)
+    windows = build_dynamic_rat(run, TM)[:6]
+    fast = verify_rat_empirically(prog, TM, windows)
+    slow = verify_rat_empirically(prog, TM, windows, full_runs=True)
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
         assert f.window == s.window
