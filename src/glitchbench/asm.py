@@ -163,7 +163,7 @@ class Assembler:
             if not stripped:
                 continue
 
-            # optional single leading label
+            # leading labels, any number of them: "a: b: addi ..." defines both
             while True:
                 m = re.match(r"^\s*([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:", text)
                 if not m:

@@ -23,19 +23,17 @@ from .asm import Program
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .latches import CONSUMER_STAGE
 from .machine import MAX_CYCLES, TRAP_CAUSES
-from .pipeline import Pipeline, PipelineRun, run_pipeline
+from .pipeline import (GHOST_INSTRUCTION, MUTATED_INSTRUCTION,
+                       NOP_REPLACEMENT, Pipeline, PipelineRun, run_pipeline)
 from .timing import TimingModel
 
 HANG_FACTOR = 4
 DIVERGENCE_LIMIT = 16
 MAX_OFFSETS = 100_000  # most offsets one grid may sweep
 
-# headline outcome labels, most severe first
+# headline outcome labels, most severe first; mechanism kinds rank after TRAP
 HANG = "HANG"
 TRAP = "TRAP"
-NOP_REPLACEMENT = "NOP_REPLACEMENT"
-MUTATED_INSTRUCTION = "MUTATED_INSTRUCTION"
-GHOST_INSTRUCTION = "GHOST_INSTRUCTION"
 CONTROL_FLOW_DEVIATION = "CONTROL_FLOW_DEVIATION"
 SDC_OUTPUT = "SDC_OUTPUT"
 SDC_STATE_ONLY = "SDC_STATE_ONLY"

@@ -86,10 +86,9 @@ def _load_program(args) -> tuple[Program, str]:
     if args.input is not None:
         raise _InputError("--input only applies to --workload bnn")
     p = Path(path)
-    text = p.read_text()
     if p.suffix == ".json":
         return load_image(p), p.stem
-    return assemble(text), p.stem
+    return assemble(p.read_text()), p.stem
 
 
 def _policies(args) -> tuple[CorruptionPolicy, IllegalPolicy]:
@@ -309,9 +308,8 @@ def cmd_campaign(args) -> int:
     print(f"{label}: {summary['points']} injections over cycles "
           f"[{plan.cycle_lo}, {plan.cycle_hi}) x {plan.offset_count} offsets "
           f"-> {args.output}")
-    for outcome, n in sorted(summary["outcomes"].items(),
-                             key=lambda kv: -kv[1]):
-        print(f"  {outcome:24s} {n:7d}  {100 * n / summary['points']:5.1f}%")
+    for line in _outcome_lines(summary["outcomes"], summary["points"]):
+        print(line)
     if summary["misclassified"]:
         print(f"  misclassified outputs: {summary['misclassified']}")
     return EXIT_OK
@@ -328,6 +326,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _outcome_lines(outcomes: dict, points: int) -> list[str]:
+    return [f"  {outcome:24s} {n:7d}  {100 * n / points:5.1f}%"
+            for outcome, n in sorted(outcomes.items(), key=lambda kv: -kv[1])]
+
+
 def _report_text(rep: dict, top: int) -> str:
     grid = rep["grid"]
     summary = rep["summary"]
@@ -338,10 +341,7 @@ def _report_text(rep: dict, top: int) -> str:
     lines.append(f"golden: {gold['cycles']} cycles, cause {gold['halt_cause']}, "
                  f"output {gold['output']}")
     lines.append("outcomes:")
-    for outcome, n in sorted(summary["outcomes"].items(),
-                             key=lambda kv: -kv[1]):
-        lines.append(f"  {outcome:24s} {n:7d}  "
-                     f"{100 * n / grid['points']:5.1f}%")
+    lines += _outcome_lines(summary["outcomes"], grid["points"])
     if summary["mechanisms"]:
         lines.append("mechanisms observed: " + ", ".join(
             f"{k} x{v}" for k, v in sorted(summary["mechanisms"].items())))

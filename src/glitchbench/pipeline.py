@@ -147,7 +147,7 @@ class SlotMeta(NamedTuple):
     and `iclass_name` only label traces, retire records and glitch
     captures. `Pipeline.state_key` holds the fields that count.
     Every valid slot carries one. On the clean path each stage builds the
-    next positionally; the trap, illegal and squash paths use `_replace`.
+    next positionally; the trap-carrier and squash paths use `_replace`.
     """
 
     dyn_id: int
@@ -162,6 +162,11 @@ class SlotMeta(NamedTuple):
     output: int | None = None
     halt: tuple | None = None
     word_corrupted: bool = False
+
+
+NOP_REPLACEMENT = "NOP_REPLACEMENT"
+MUTATED_INSTRUCTION = "MUTATED_INSTRUCTION"
+GHOST_INSTRUCTION = "GHOST_INSTRUCTION"
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,7 +325,7 @@ class Pipeline:
             self._apply_glitch(spec)
 
         # WB first: its register write is visible to ID in the same cycle
-        self._writeback(cyc)
+        self._writeback()
         if self.arch.halted:
             self.cycle = cyc + 1
             return False
@@ -375,34 +380,30 @@ class Pipeline:
 
     # -- stages ----------------------------------------------------------------
 
-    def _writeback(self, cyc: int) -> None:
+    def _writeback(self) -> None:
         ew = self.ex_wb
         if not ew.valid:
             return
-        meta = self.ex_wb_meta
         arch = self.arch
-        if meta.trap_cause:
-            self.retires.append(StepEvent(meta.pc, meta.pc, meta.raw,
-                                          meta.mnemonic, halt=meta.trap_cause))
-            arch.halted = True
-            arch.halt_cause = meta.trap_cause
-            arch.pc = meta.pc
-            return
-        rd = ew.rd & 31
+        (_, pc, raw, mnemonic, _, _, trap_cause, next_pc, mem_write, output,
+         halt, _) = self.ex_wb_meta
+        # a trap slot (next_pc = pc, no memory write, output or halt) writes
+        # no register, whatever a glitch left in its rd
+        rd = 0 if trap_cause else ew.rd & 31
         reg_write = None
         if rd:
             new = (ew.mem_data if ew.is_load & 1 else ew.result) & MASK32
             reg_write = (rd, arch.regs[rd], new)
             arch.regs[rd] = new
-        halt_cause = meta.halt[0] if meta.halt else None
-        self.retires.append(StepEvent(meta.pc, meta.next_pc, meta.raw,
-                                      meta.mnemonic, reg_write,
-                                      meta.mem_write, meta.output,
-                                      halt_cause))
-        arch.pc = meta.next_pc
-        if meta.halt:
+        halt_cause = trap_cause or (halt[0] if halt else None)
+        self.retires.append(StepEvent(pc, next_pc, raw, mnemonic, reg_write,
+                                      mem_write, output, halt_cause))
+        arch.pc = next_pc
+        if halt_cause:
             arch.halted = True
-            arch.halt_cause, arch.exit_code = meta.halt
+            arch.halt_cause = halt_cause
+            if halt:
+                arch.exit_code = halt[1]
 
     def _execute(self):
         """Returns (completed, ex_wb_next, ex_wb_meta, forward, redirect,
@@ -464,25 +465,20 @@ class Pipeline:
                 addr = (rs1 + imm) & MASK32
                 mem_write, output, halt, trap = machine.store_effect(
                     self.arch, mnem, addr, rs2)
-        elif unit == UNIT_BRANCH:
-            if branch_taken(op4, rs1, rs2):
-                target = (pc + imm) & MASK32
+        elif unit == UNIT_BRANCH or unit == UNIT_JUMP:
+            # every control transfer: target, misaligned-fetch trap, redirect
+            # and link; a taken branch to pc + 4 still redirects
+            if unit == UNIT_JUMP or branch_taken(op4, rs1, rs2):
+                if unit == UNIT_JUMP and subop:  # jalr
+                    target = (rs1 + imm) & 0xFFFFFFFE
+                else:
+                    target = (pc + imm) & MASK32
                 if target & 3:
                     trap = "MISALIGNED_FETCH"
                 else:
-                    redirect = target
-                    next_pc = target
-        elif unit == UNIT_JUMP:
-            if subop:
-                target = (rs1 + imm) & 0xFFFFFFFE
-            else:
-                target = (pc + imm) & MASK32
-            if target & 3:
-                trap = "MISALIGNED_FETCH"
-            else:
-                result = (pc + 4) & MASK32
-                redirect = target
-                next_pc = target
+                    if unit == UNIT_JUMP:
+                        result = next_pc
+                    redirect = next_pc = target
         elif unit == UNIT_UPPER:
             result = (pc + imm) & MASK32 if subop else imm & MASK32
         else:  # UNIT_SYSTEM
@@ -496,18 +492,17 @@ class Pipeline:
                 trap = meta.fault_cause or cause
 
         if trap:
-            out_meta = meta._replace(pc=pc, trap_cause=trap, next_pc=pc,
-                                     mem_write=None, output=None, halt=None)
-            return True, ExWb(0, 0, 0, 0, 1), out_meta, None, None, True
-
+            rd = 0  # a trap slot writes nothing and retires at its own pc
+            next_pc = pc
         (dyn_id, _, raw, mnemonic, iclass, fault_cause, trap_cause,
          _, _, _, _, word_corrupted) = meta
         out_meta = SlotMeta(dyn_id, pc, raw, mnemonic, iclass, fault_cause,
-                            trap_cause, next_pc, mem_write, output, halt,
-                            word_corrupted)
+                            trap or trap_cause, next_pc, mem_write, output,
+                            halt, word_corrupted)
         slot = ExWb(result, rd, is_load, mem_data, 1)
         forward = (rd, result) if rd and not is_load else None
-        return True, slot, out_meta, forward, redirect, halt is not None
+        return (True, slot, out_meta, forward, redirect,
+                halt is not None or trap is not None)
 
     def _decode_stage(self, ex_forward, squash):
         """Returns (id_ex_next, meta, capture class, stall)."""
@@ -519,26 +514,24 @@ class Pipeline:
         word = f.instr_word
         pc = f.pc & MASK32
 
-        if meta.fault_cause:
-            slot = IdEx(trap_carrier_control(meta.fault_cause),
-                        0, 0, 0, 0, pc, 1)
-            out = meta._replace(pc=pc, iclass_name="SYSTEM")
-            return slot, out, "SYSTEM", False
-
-        e = WORDS[word]
-        if e is None:
+        e = None if meta.fault_cause else WORDS[word]
+        if e is None and not meta.fault_cause:
             if self.illegal_policy is IllegalPolicy.NOP_REPLACE:
                 if meta.word_corrupted:
                     self.mechanisms.append(MechanismEvent(
-                        "NOP_REPLACEMENT", self.cycle, pc,
+                        NOP_REPLACEMENT, self.cycle, pc,
                         f"word 0x{word:08X}"))
                 e = WORDS[NOP_WORD]
             else:
-                slot = IdEx(trap_carrier_control("ILLEGAL"), 0, 0, 0, 0, pc, 1)
-                out = meta._replace(pc=pc, raw=word, mnemonic="",
-                                    iclass_name="SYSTEM",
-                                    fault_cause="ILLEGAL")
-                return slot, out, "SYSTEM", False
+                # an illegal carrier is labelled by the latch word, a fetch
+                # fault by its meta (which a ghost revival may bring along)
+                meta = meta._replace(raw=word, mnemonic="",
+                                     fault_cause="ILLEGAL")
+        if e is None:  # a fetch fault or an illegal word: a trap carrier
+            slot = IdEx(trap_carrier_control(meta.fault_cause),
+                        0, 0, 0, 0, pc, 1)
+            return (slot, meta._replace(pc=pc, iclass_name="SYSTEM"),
+                    "SYSTEM", False)
         mnemonic, iclass, control, use_rs1, use_rs2, rs1, rs2, rd, imm = e
 
         if not squash:
@@ -574,17 +567,10 @@ class Pipeline:
 
         pc = self.fetch_pc & MASK32
         self.dyn_counter = dyn_id = self.dyn_counter + 1
-        if pc & 3:
-            return (IfId(0, pc, 1),
-                    SlotMeta(dyn_id, pc, fault_cause="MISALIGNED_FETCH"),
-                    "SYSTEM")
-        word = self.arch.mem.get(pc >> 2)
-        if word is None:
-            return (IfId(0, pc, 1),
-                    SlotMeta(dyn_id, pc, fault_cause="FETCH_FAULT"), "SYSTEM")
-        e = WORDS[word]
-        if e is None:
-            return IfId(word, pc, 1), SlotMeta(dyn_id, pc, word), "SYSTEM"
+        word, fault, e = _fetch(self.arch.mem, pc)
+        if e is None:  # a fetch fault or an illegal word
+            return (IfId(word, pc, 1),
+                    SlotMeta(dyn_id, pc, word, fault_cause=fault), "SYSTEM")
         return IfId(word, pc, 1), SlotMeta(dyn_id, pc, word, e[0]), e[1]
 
     # -- glitch application ----------------------------------------------------
@@ -611,7 +597,7 @@ class Pipeline:
                 # previous slot carried a meta
                 meta = getattr(self, prev_meta)
                 self.mechanisms.append(MechanismEvent(
-                    "GHOST_INSTRUCTION", spec.cycle,
+                    GHOST_INSTRUCTION, spec.cycle,
                     getattr(target, "pc", meta.pc), latch))
             if latch == "IF_ID" and target.valid \
                     and target.instr_word != clean.instr_word:
@@ -620,7 +606,7 @@ class Pipeline:
                 e = WORDS[new_word]
                 if e is not None:
                     self.mechanisms.append(MechanismEvent(
-                        "MUTATED_INSTRUCTION", spec.cycle, target.pc,
+                        MUTATED_INSTRUCTION, spec.cycle, target.pc,
                         f"0x{clean.instr_word:08X}->0x{new_word:08X} "
                         f"({e[0]})"))
             setattr(self, meta_name, meta)
@@ -641,10 +627,21 @@ class Pipeline:
             occ["IF"] = None
         else:
             pc = self.fetch_pc & MASK32
-            word = self.arch.mem.get(pc >> 2) if not pc & 3 else None
-            e = None if word is None else WORDS[word]
+            e = _fetch(self.arch.mem, pc)[2]
             occ["IF"] = (pc, e[0], e[1], -1) if e else (pc, "", None, -1)
         return CycleTrace(self.cycle, occ, self.captures)
+
+
+def _fetch(mem: dict, pc: int) -> tuple[int, str | None, tuple | None]:
+    """What IF reads at pc: (word, fault cause, WORDS entry). A faulting
+    fetch reads word 0, and it has no entry, as an illegal word has none."""
+
+    if pc & 3:
+        return 0, "MISALIGNED_FETCH", None
+    word = mem.get(pc >> 2)
+    if word is None:
+        return 0, "FETCH_FAULT", None
+    return word, None, WORDS[word]
 
 
 def _slot_key(slot: tuple, meta: SlotMeta) -> tuple | None:

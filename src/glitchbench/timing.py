@@ -39,8 +39,10 @@ class TimingModel:
     crit_ns: dict          # (iclass name, latch) -> float
     field_factors: dict    # latch -> {field -> float in (0, 1]}
     bit_spread_seed: int
-    _arrival_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _late_tables: dict = field(default_factory=dict, compare=False, repr=False)
+    _arrival_cache: dict = field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
+    _late_tables: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     # -- scalar queries ----------------------------------------------------
 

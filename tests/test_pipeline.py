@@ -161,6 +161,9 @@ def test_traps_match_reference():
         ("nop\n.illegal 0xFFFF0000\nebreak", "ILLEGAL"),
         ("j 0x100", "FETCH_FAULT"),
         ("addi x1, x0, 0x102\njalr x0, 0(x1)\nebreak", "MISALIGNED_FETCH"),
+        ("beq x0, x0, 6\nebreak", "MISALIGNED_FETCH"),
+        ("bne x0, x0, 6\nebreak", "EBREAK"),
+        ("jal x1, 6\nebreak", "MISALIGNED_FETCH"),
     ]:
         prog = assemble(src)
         gold = run_golden(prog)
@@ -552,6 +555,96 @@ def test_control_word_table_is_frozen():
     assert len(CONTROL) == 48
     digest = hashlib.sha256(json.dumps(CONTROL, sort_keys=True).encode())
     assert digest.hexdigest() == CONTROL_DIGEST
+
+
+# words 0x00-0x3C are code, 0x40-0x7C data; the EX slot sits at 0x20
+EX_PROG = "\n".join(["addi x1, x1, 1"] * 16 + [".word 0x8BADF00D"] * 16)
+EX_META = SlotMeta(7, 0x20, 0x00108093, "addi", "ALU_IMM")
+STALE = dict(next_pc=0x999, mem_write=(1, 2, 3, 4), output=9,
+             halt=("HALT_PORT", 1))
+# (rs1, rs2, imm, rd, meta, strict); each comment says where the targets
+# pc + imm and rs1 + imm land and which way the compares go
+EX_OPERANDS = [
+    (0x40, 0x40, 8, 5, EX_META, False),            # aligned, equal, mapped
+    (0x40, 7, 6, 5, EX_META, False),               # 2-misaligned
+    (0x40, 7, 9, 5, EX_META, False),               # odd; jalr clears bit 0
+    (0xFFFFFFF0, 5, 4, 31, EX_META, False),        # to pc+4; s< but u>
+    (5, 0xFFFFFFF0, -8 & MASK32, 1,                # u< but s>, below pc,
+     EX_META._replace(**STALE), False),            # stale meta fields
+    (0x1000, 0xAB, 0, 5, EX_META, False),          # unmapped
+    (0x1000, 0xAB, 0, 5, EX_META, True),           # unmapped, strict
+    (0x80000000, 0x1234, 0, 5, EX_META, False),    # output port
+    (0x80000000, 7, 4, 5, EX_META, False),         # halt port
+    (100, 7, 0x10, 5, EX_META, False),             # DIV to completion
+    (0x80000000, 0, 0x10, 0, EX_META, False),      # divide by zero, rd 0
+    (0x40, 3, 0x10, 5,                             # a fetch-fault meta
+     EX_META._replace(fault_cause="FETCH_FAULT", word_corrupted=True), False),
+]
+EX_DIGEST = \
+    "ad539896114758984f4c3b7c890506dc35491cbd243573673336f9607f61c7b0"
+
+
+def _ex_answer(base: Pipeline, control: int, operands) -> tuple:
+    rs1, rs2, imm, rd, meta, _ = operands
+    p = base.fork()
+    p.id_ex = p.id_ex._replace(control=control, rs1_val=rs1, rs2_val=rs2,
+                               imm=imm, rd=rd, pc=0x20, valid=1)
+    p.id_ex_meta = meta
+    p.fetch_pc = 0x28
+    p.clock()
+    while p.ex_remaining:
+        p.clock()
+    a = p.arch
+    return (p.ex_wb, p.ex_wb_meta, p.fetch_pc, p.fetch_stopped,
+            a.pc, a.regs, sorted(a.mem.items()), a.output_log, a.halted,
+            a.halt_cause, a.exit_code, a.unmapped_reads)
+
+
+def test_execute_answers_are_frozen_for_every_control_word():
+    # a corrupted control word may select any unit with any flags, which
+    # lockstep runs never reach; bits 12-15 select nothing
+    prog = assemble(EX_PROG)
+    bases = {strict: Pipeline(prog, strict=strict) for strict in (False, True)}
+    digest = hashlib.sha256()
+    for control in range(1 << 12):
+        for i, ops in enumerate(EX_OPERANDS):
+            answer = _ex_answer(bases[ops[-1]], control, ops)
+            digest.update(repr((control, i, answer)).encode())
+    rng = random.Random(17)
+    for _ in range(300):
+        control = rng.randrange(1 << 12, 1 << 16)
+        ops = rng.choice(EX_OPERANDS)
+        assert _ex_answer(bases[ops[-1]], control, ops) == \
+            _ex_answer(bases[ops[-1]], control & 0xFFF, ops), hex(control)
+    assert digest.hexdigest() == EX_DIGEST
+
+
+def test_trap_carriers_keep_their_labels_and_trap_slots_write_no_register():
+    # states a glitch can leave behind: a word turned illegal under a meta
+    # that still names the old instruction, a fetch-fault meta, and a trap
+    # slot whose rd a glitch set
+    base = Pipeline(assemble(EX_PROG))
+    base.illegal_policy = IllegalPolicy.TRAP
+    old = SlotMeta(3, 0x20, 0x00108093, "addi", "ALU_IMM", word_corrupted=True)
+    for meta, raw, mnemonic in (
+            (old, 0xFFFF0000, ""),                  # labelled by the latch
+            (old._replace(fault_cause="FETCH_FAULT"), 0x00108093, "addi")):
+        p = base.fork()
+        p.if_id = p.if_id._replace(instr_word=0xFFFF0000, pc=0x20, valid=1)
+        p.if_id_meta = meta
+        p.clock()
+        assert p.id_ex_meta == meta._replace(
+            raw=raw, mnemonic=mnemonic, iclass_name="SYSTEM",
+            fault_cause=meta.fault_cause or "ILLEGAL")
+        p.clock()
+        assert p.ex_wb_meta.trap_cause == (meta.fault_cause or "ILLEGAL")
+        p.ex_wb = p.ex_wb._replace(result=0x55, rd=7)
+        p.clock()
+        assert p.retires == [StepEvent(0x20, 0x20, raw, mnemonic,
+                                       halt=p.ex_wb_meta.trap_cause)]
+        assert p.arch.regs[7] == 0
+        assert (p.arch.halted, p.arch.pc, p.arch.exit_code) == \
+            (True, 0x20, None)
 
 
 def test_word_table_agrees_with_decode():
