@@ -31,6 +31,8 @@ ABI_NAMES = {
     "t3": 28, "t4": 29, "t5": 30, "t6": 31,
 }
 
+ADDRESS_SPACE = 1 << 32  # every address is below this
+
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 _MEM_RE = re.compile(r"^(.*)\(\s*([A-Za-z0-9]+)\s*\)$")
 
@@ -185,6 +187,9 @@ class Assembler:
 
             def item(size, produce, *args):
                 nonlocal loc
+                if loc + size > ADDRESS_SPACE:
+                    self._err(f"{size} byte(s) at 0x{loc:x} run past the "
+                              f"32-bit address space", lineno, col)
                 self.items.append((loc, lineno, col,
                                    partial(produce, *args, lineno, col)))
                 loc += size
@@ -193,6 +198,9 @@ class Assembler:
                 if len(operands) != 1:
                     self._err(".org takes one address", lineno, col)
                 val = self._eval(operands[0], lineno, col, allow_fwd=False)
+                if not 0 <= val < ADDRESS_SPACE:
+                    self._err(f".org address {val:#x} outside the 32-bit "
+                              f"address space", lineno, col)
                 loc = val
                 self.seg_starts.add(loc)
             elif head == ".equ":
@@ -448,6 +456,8 @@ def load_image(manifest_path: str | Path) -> Program:
             or any(type(v) is not int for v in symbols.values()):
         raise ImageError(f"malformed manifest {path}: entry and symbol "
                          f"values must be integers, segments a list")
+    if not 0 <= entry < ADDRESS_SPACE:
+        raise ImageError(f"entry {entry:#x} outside the 32-bit address space")
 
     segments = []
     for ent in manifest["segments"]:
@@ -458,6 +468,9 @@ def load_image(manifest_path: str | Path) -> Program:
         if type(base) is not int or type(length) is not int \
                 or not isinstance(name, str) or not isinstance(digest, str):
             raise ImageError(f"malformed segment entry in {path}")
+        if base < 0 or base + length > ADDRESS_SPACE:
+            raise ImageError(f"segment {name} at {base:#x} outside the "
+                             f"32-bit address space")
         data = (path.parent / name).read_bytes()
         if len(data) != length:
             raise ImageError(f"segment {name}: length {len(data)} != manifest {length}")

@@ -76,13 +76,17 @@ def summarize(run: PipelineRun, n_retires: int = 0,
                       arch.halt_cause, arch.exit_code)
 
 
+class NotHaltedError(ValueError):
+    """The glitch-free run does not halt within its cycle budget."""
+
+
 def golden_baseline(program: Program, *,
                     max_cycles: int = MAX_CYCLES) -> RunSummary:
     """Summary of the glitch-free run, which must halt."""
 
     run = run_pipeline(program, max_cycles=max_cycles)
     if run.status != "HALTED":
-        raise ValueError(
+        raise NotHaltedError(
             f"program does not halt within {max_cycles} cycles glitch-free")
     return summarize(run)
 

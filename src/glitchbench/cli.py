@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .asm import (AsmError, ImageError, Program, assemble, load_image,
                   store_image)
-from .campaign import build_plan, run_campaign, single_injection
+from .campaign import (NotHaltedError, build_plan, run_campaign,
+                       single_injection)
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
 from .machine import MAX_CYCLES, run_golden
 from .pipeline import run_pipeline
@@ -475,6 +476,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # usage errors and --help
         return e.code or 0
+    except NotHaltedError as exc:  # a glitch-free baseline that never halts
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_HALTED
     except (_InputError, AsmError, ImageError, OSError, json.JSONDecodeError,
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

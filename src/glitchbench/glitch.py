@@ -4,10 +4,8 @@ A glitch is a single premature clock edge: in the victim cycle the capture
 edge arrives `offset` nanoseconds after the launch edge instead of a full
 period later. For every latch that actually captures at that edge, bits whose
 arrival time exceeds offset - t_setup miss the edge; what the latch ends up
-holding for those bits depends on the corruption policy.
-
-Latches that hold (stall) or that capture a reset bubble have no in-flight
-data and come through clean.
+holding for those bits depends on the corruption policy. A latch that
+holds (stall) or captures a reset bubble comes through clean (`corruptible`).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .latches import LATCHES, field_names
 from .timing import TimingModel
 
 
@@ -43,23 +40,18 @@ class GlitchSpec:
     illegal_policy: IllegalPolicy = IllegalPolicy.NOP_REPLACE
 
 
-@dataclass(frozen=True)
-class LatchCapture:
-    """What one latch is doing at the glitched edge.
+def corruptible(profile: dict) -> dict[str, str]:
+    """latch -> driving class of every capture a glitch can reach.
 
-    fresh=False means the latch held its old value (no capture, immune).
-    iclass=None means the incoming data is a reset bubble with no driver
-    (stall insertion, post-halt drain), which is also immune. A squashed
-    instruction still drives the latch inputs, so flush bubbles keep the
-    class of the squashed instruction and stay corruptible.
+    `profile` maps latch -> (fresh, iclass). A capture is corruptible iff it
+    is fresh (a held latch captures nothing) and driven (a reset bubble from
+    a stall or a post-halt drain has iclass None and no in-flight data). A
+    flush bubble keeps the class of the squashed instruction, which still
+    drives the latch inputs, so it stays corruptible.
     """
 
-    latch: str
-    fresh: bool
-    iclass: str | None
-    incoming: tuple     # latch value the capture would latch glitch-free
-    previous: tuple     # latch value latched the cycle before
-    pc: int | None      # victim instruction, when the slot had one
+    return {latch: iclass for latch, (fresh, iclass) in profile.items()
+            if fresh and iclass is not None}
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,46 +75,42 @@ class CorruptionEvent:
 
 
 def plan_effect(spec: GlitchSpec, captures: dict, timing: TimingModel
-                ) -> dict[str, tuple[CorruptionEvent, ...]]:
-    """Work out the corrupted contents of every latch at the glitched edge.
+                ) -> dict[str, tuple[tuple, tuple[CorruptionEvent, ...]]]:
+    """What each corruptible latch captures at the glitched edge.
 
-    `captures` maps latch name to LatchCapture; the result maps each
-    corrupted latch to its events, in field order. Corruption is recorded
-    per field whenever any bit arrives late, even if the substituted value
-    happens to equal the clean one; downstream divergence is a separate
-    question from timing violation.
+    `captures` maps each corruptible latch, in latch order, to `(iclass,
+    incoming, previous, pc)`: its driving class, its glitch-free and
+    previous values, and the victim pc. The result maps each latch with
+    late bits to `(captured value, events)`, one event per field in field
+    order. A field is recorded whenever any bit arrives late, even if the
+    substituted value equals the clean one.
     """
 
     timing.check_offset(spec.offset_ns)
-    effects: dict[str, tuple[CorruptionEvent, ...]] = {}
-    for latch in LATCHES:
-        cap = captures.get(latch)
-        if cap is None or not cap.fresh or cap.iclass is None:
-            continue
-        late = timing.late_fields(cap.iclass, latch, spec.offset_ns)
+    effects = {}
+    for latch, (iclass, inc, prev, pc) in captures.items():
+        late = timing.late_fields(iclass, latch, spec.offset_ns)
         if not late:
             continue
 
-        fields = {}  # field -> (late bits, corrupted value)
-        inc, prev = cap.incoming, cap.previous
+        late_of = {fname: bits for fname, bits, _mask in late}
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
             # one late bit anywhere reverts the entire register
-            late_of = {fname: bits for fname, bits, _mask in late}
-            for fname in field_names(latch):
-                fields[fname] = late_of.get(fname, ()), getattr(prev, fname)
+            captured, recorded = prev, inc._fields
         else:
-            for fname, bits, mask in late:
+            merged = {}
+            for fname, _bits, mask in late:
                 stale = getattr(prev, fname) \
                     if spec.policy is CorruptionPolicy.STALE_BITS else 0
-                fields[fname] = \
-                    bits, (getattr(inc, fname) & ~mask) | (stale & mask)
+                merged[fname] = (getattr(inc, fname) & ~mask) | (stale & mask)
+            captured, recorded = inc._replace(**merged), late_of
 
-        valid_in = inc.valid & 1
-        valid_out = fields["valid"][1] & 1 if "valid" in fields else valid_in
+        valid_in, valid_out = inc.valid & 1, captured.valid & 1
         ghost = valid_in == 0 and valid_out == 1
         killed = valid_in == 1 and valid_out == 0
-        effects[latch] = tuple(
-            CorruptionEvent(spec.cycle, latch, fname, cap.iclass, bits,
-                            getattr(inc, fname), bad, ghost, killed, cap.pc)
-            for fname, (bits, bad) in fields.items())
+        effects[latch] = captured, tuple(
+            CorruptionEvent(spec.cycle, latch, fname, iclass,
+                            late_of.get(fname, ()), getattr(inc, fname),
+                            getattr(captured, fname), ghost, killed, pc)
+            for fname in recorded)
     return effects

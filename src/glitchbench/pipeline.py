@@ -20,9 +20,9 @@ Microarchitecture rules:
 
 A glitch at cycle n shortens the edge that opened cycle n, so it attacks
 the values latched for the instructions sitting in ID, EX, and WB during
-cycle n. Latches that held (stall) or captured a driverless reset bubble
-are immune; a squashed instruction still drives the latch inputs and stays
-corruptible, which is how ghost revivals happen.
+cycle n. Which captures a glitch can reach is `glitch.corruptible` of the
+capture profile: a squashed instruction still drives the latch inputs and
+stays corruptible, which is how ghost revivals happen.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from . import machine
 from .asm import Program
 from .glitch import (CorruptionEvent, GlitchSpec, IllegalPolicy,
-                     LatchCapture, plan_effect)
+                     corruptible, plan_effect)
 from .isa import (CLASS_OF, NOP_WORD, OP_ALU_REG, OP_LOAD, OP_STORE,
                   REG_READS, IClass, Illegal, by_funct3, decode)
 from .latches import LATCH_TYPE, LATCHES, bubble
@@ -118,11 +118,8 @@ class _WordTable(dict):
 WORDS = _WordTable()
 
 # latch -> attributes of its value, meta, previous value and previous meta
-_LATCH_ATTRS = {
-    "IF_ID": ("if_id", "if_id_meta", "prev_if_id", "prev_if_id_meta"),
-    "ID_EX": ("id_ex", "id_ex_meta", "prev_id_ex", "prev_id_ex_meta"),
-    "EX_WB": ("ex_wb", "ex_wb_meta", "prev_ex_wb", "prev_ex_wb_meta"),
-}
+_LATCH_ATTRS = {latch: (a, f"{a}_meta", f"prev_{a}", f"prev_{a}_meta")
+                for latch in LATCHES for a in [latch.lower()]}
 
 IfId, IdEx, ExWb = (LATCH_TYPE[latch] for latch in LATCHES)
 _IF_ID_BUBBLE, _ID_EX_BUBBLE, _EX_WB_BUBBLE = (bubble(latch)
@@ -577,19 +574,18 @@ class Pipeline:
 
     def _apply_glitch(self, spec: GlitchSpec) -> None:
         caps = {}
-        for latch, (value, meta_name, prev, _) in _LATCH_ATTRS.items():
-            fresh, iclass = self.captures[latch]
-            meta = getattr(self, meta_name)
-            caps[latch] = LatchCapture(
-                latch, fresh, iclass, getattr(self, value),
-                getattr(self, prev), meta.pc if meta else None)
-        changed = False
-        for latch, events in plan_effect(spec, caps, self.timing).items():
+        for latch, iclass in corruptible(self.captures).items():
+            value, meta_name, prev, _ = _LATCH_ATTRS[latch]
+            caps[latch] = (iclass, getattr(self, value), getattr(self, prev),
+                           getattr(self, meta_name).pc)
+        for latch, (target, events) in plan_effect(spec, caps,
+                                                   self.timing).items():
             self.corruptions.extend(events)
-            changed = changed or any(e.changed for e in events)
             value, meta_name, _, prev_meta = _LATCH_ATTRS[latch]
             clean = getattr(self, value)
-            target = clean._replace(**{e.field: e.corrupted for e in events})
+            if target != clean:
+                # a glitch that changes no latch leaves the run glitch-free
+                self.illegal_policy = spec.illegal_policy
             setattr(self, value, target)
             meta = getattr(self, meta_name)
             if events[0].ghost:
@@ -601,18 +597,14 @@ class Pipeline:
                     getattr(target, "pc", meta.pc), latch))
             if latch == "IF_ID" and target.valid \
                     and target.instr_word != clean.instr_word:
-                new_word = target.instr_word
-                meta = meta._replace(word_corrupted=True, raw=new_word)
-                e = WORDS[new_word]
+                word = target.instr_word
+                meta = meta._replace(word_corrupted=True, raw=word)
+                e = WORDS[word]
                 if e is not None:
                     self.mechanisms.append(MechanismEvent(
                         MUTATED_INSTRUCTION, spec.cycle, target.pc,
-                        f"0x{clean.instr_word:08X}->0x{new_word:08X} "
-                        f"({e[0]})"))
+                        f"0x{clean.instr_word:08X}->0x{word:08X} ({e[0]})"))
             setattr(self, meta_name, meta)
-        if changed:
-            # a glitch that changes no latch leaves the run glitch-free
-            self.illegal_policy = spec.illegal_policy
 
     # -- tracing -----------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import Program
-from .glitch import GlitchSpec
+from .glitch import GlitchSpec, corruptible
 from .latches import CONSUMER_STAGE
 from .machine import MAX_CYCLES
 from .pipeline import Pipeline, PipelineRun, run_pipeline
@@ -79,7 +79,7 @@ def build_dynamic_rat(run: PipelineRun,
                       timing: TimingModel) -> list[SelectiveWindow]:
     """Selective windows for every cycle of a traced glitch-free run.
 
-    Only freshly captured latches compete: a held latch or a reset bubble
+    Only corruptible captures compete: a held latch or a reset bubble
     cannot be corrupted, so it imposes no floor on anyone else's window.
     """
 
@@ -88,17 +88,15 @@ def build_dynamic_rat(run: PipelineRun,
     windows = []
     o_min = timing.min_glitch_ns
     for entry in run.trace:
-        thresholds = {}
-        for latch, (fresh, iclass) in entry.captures.items():
-            if fresh and iclass is not None:
-                thresholds[latch] = timing.threshold(iclass, latch)
+        driven = corruptible(entry.captures)
+        thresholds = {latch: timing.threshold(iclass, latch)
+                      for latch, iclass in driven.items()}
         for latch, hi in thresholds.items():
             lo = max([o_min] + [t for other, t in thresholds.items()
                                 if other != latch])
             if lo < hi:
-                iclass = entry.captures[latch][1]
                 windows.append(SelectiveWindow(
-                    entry.cycle, latch, CONSUMER_STAGE[latch], iclass,
+                    entry.cycle, latch, CONSUMER_STAGE[latch], driven[latch],
                     lo, hi, entry.occupancy.get(CONSUMER_STAGE[latch])))
     return windows
 

@@ -9,6 +9,8 @@ import random
 import pytest
 
 from glitchbench import asm, isa
+from glitchbench.machine import run_golden
+from glitchbench.pipeline import run_pipeline
 from glitchbench.workloads import workload_names, workload_source
 from proggen import random_source
 from rv32_corpus import CORPUS
@@ -269,3 +271,24 @@ def test_front_end_digest_is_frozen():
             word = word & ~0x7F | rng.choice(opcodes)
         digest.update(isa.disassemble(word).encode() + b"\n")
     assert digest.hexdigest() == FRONT_END_DIGEST
+
+
+@pytest.mark.parametrize("src, line", [
+    (".org -8\naddi x5, x0, 1\nebreak\n", 1),
+    (".org 0x100000000\n", 1),
+    (".org 0xFFFFFFF8\naddi x5, x0, 1\nebreak\naddi x6, x0, 2\n", 4),
+    (".org 0xFFFFFFFE\n.word 1\n", 2),
+    (".org 0xFFFFFFFC\nli x5, 1\n", 2),
+])
+def test_addresses_outside_the_32_bit_space_are_rejected(src, line):
+    with pytest.raises(asm.AsmError) as err:
+        asm.assemble(src)
+    assert (err.value.span.line, err.value.span.column) == (line, 1)
+
+
+def test_the_top_of_the_address_space_runs_in_lockstep():
+    prog = asm.assemble(".org 0xFFFFFFF8\naddi x5, x0, 1\nebreak\n")
+    gold, run = run_golden(prog), run_pipeline(prog)
+    assert [e.pc for e in gold.events] == [0xFFFFFFF8, 0xFFFFFFFC]
+    assert run.retires == gold.events
+    assert run.arch.same_arch(gold.state) and run.arch.regs[5] == 1

@@ -1,6 +1,8 @@
 """Sweep engine: grid bookkeeping, classification, and determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,3 +352,30 @@ def test_policy_changes_the_mix():
     # turns those into architected traps
     assert any(r.outcome == TRAP for r in res_z.records)
     assert all("NOP_REPLACEMENT" not in r.mechanisms for r in res_z.records)
+
+
+def _bench_tracer():
+    """bench/tracer.py loaded by file path, as the benchmark loads it."""
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_bench_tracer_sees_one_plan_per_glitched_clock_per_point():
+    # cycle 0 captures reset bubbles only, so nothing there is corruptible
+    plan, golden = build_plan(workload_program("mb_system"), TIMING,
+                              cycles=(0, 6), offsets=(1.0, 9.5, 0.5))
+    tracer = _bench_tracer()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        result = run_campaign(plan, golden)
+    finally:
+        tr.uninstall()
+    points = len(result.records)
+    assert points == 6 * plan.offset_count
+    assert tr.total(tracer.PLAN_EFFECT)[0] == \
+        tr.total("pipeline.clock.glitched")[0] == points

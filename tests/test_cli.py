@@ -89,6 +89,15 @@ MALFORMED_MANIFESTS = {
     "base_not_an_integer": {"entry": 0, "segments": [
         {"base": "0", "file": "seg", "len": len(SEGMENT),
          "sha256": hashlib.sha256(SEGMENT).hexdigest()}]},
+    # addresses outside the 32-bit space, each entry inside its segment
+    **{name: {"entry": base, "segments": [
+        {"base": base, "file": "seg", "len": len(SEGMENT),
+         "sha256": hashlib.sha256(SEGMENT).hexdigest()}]}
+       for name, base in (("base_negative", -16),
+                          ("base_past_address_space", 1 << 40),
+                          ("segment_end_past_address_space", (1 << 32) - 4))},
+    "entry_negative": {"entry": -4, "segments": []},
+    "entry_past_address_space": {"entry": 1 << 32, "segments": []},
 }
 
 
@@ -320,13 +329,26 @@ def test_rat_verify_small(capsys):
     assert "MISMATCH" not in out
 
 
-@pytest.mark.parametrize("mode", ["--verify", "--dynamic"])
-def test_rat_on_a_run_that_does_not_halt_exits_3(mode, capsys):
-    assert run_cli("rat", "--workload", "mb_alu_imm", mode,
+NOT_HALTED = "mb_alu_imm did not halt within 6 cycles"
+NO_BASELINE = "program does not halt within 6 cycles glitch-free"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rat", "--verify"), NOT_HALTED),
+    (("rat", "--dynamic"), NOT_HALTED),
+    (("inject", "--cycle", "3", "--offset", "5.0"), NO_BASELINE),
+    (("campaign", "--cycles", "2:4", "-o", "REPORT"), NO_BASELINE),
+], ids=["--verify", "--dynamic", "inject", "campaign"])
+def test_rat_on_a_run_that_does_not_halt_exits_3(argv, message, tmp_path,
+                                                 capsys):
+    report = tmp_path / "report.json"
+    argv = [str(report) if a == "REPORT" else a for a in argv]
+    assert run_cli(*argv, "--workload", "mb_alu_imm",
                    "--max-cycles", "6") == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: mb_alu_imm did not halt within 6 cycles\n"
+    assert err == f"error: {message}\n"
+    assert not report.exists()
 
 
 def test_rat_verify_checks_the_windows_of_its_own_run(capsys):

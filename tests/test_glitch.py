@@ -1,52 +1,70 @@
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from glitchbench.glitch import (CorruptionEvent, CorruptionPolicy, GlitchSpec,
-                                IllegalPolicy, LatchCapture, plan_effect)
+                                IllegalPolicy, plan_effect)
 from glitchbench.isa import IClass
 from glitchbench.latches import LATCH_FIELDS, LATCHES, bubble, field_names
+from glitchbench.pipeline import Pipeline
 from glitchbench.timing import reference_timing
+from glitchbench.workloads import workload_program
 
 TM = reference_timing()
 
 
-def cap(latch, iclass, incoming, previous, fresh=True):
+def cap(latch, iclass, incoming, previous):
+    """(latch, capture) for plan_effect: (iclass, incoming, previous, pc)."""
+
     inc = bubble(latch)._replace(**incoming)
     prev = bubble(latch)._replace(**previous)
-    return LatchCapture(latch, fresh, iclass, inc, prev,
-                        getattr(inc, "pc", None))
+    return latch, (iclass, inc, prev, getattr(inc, "pc", None))
 
 
 def values(events):
     return {e.field: e.corrupted for e in events}
 
 
-def one_latch(captures):
-    out = {}
-    for c in captures:
-        out[c.latch] = c
-    return out
+def plan(spec, captures):
+    """plan_effect over `captures`, checking that each captured value is
+    the incoming value with every event's field replaced; latch -> events."""
+
+    caps = dict(captures)
+    effects = plan_effect(spec, caps, TM)
+    for latch, (captured, events) in effects.items():
+        assert captured == caps[latch][1]._replace(**values(events))
+    return {latch: events for latch, (_, events) in effects.items()}
 
 
 def test_safe_offset_touches_nothing():
     c = cap("IF_ID", "LOAD", {"instr_word": 0x00032283, "pc": 0x40, "valid": 1},
             {"instr_word": 0x13, "pc": 0x3C, "valid": 1})
     spec = GlitchSpec(cycle=5, offset_ns=9.5)
-    eff = plan_effect(spec, one_latch([c]), TM)
-    assert not any(eff.values())
-    assert eff == {}
+    assert plan(spec, [c]) == {}
 
 
-def test_held_and_idle_latches_immune():
-    held = LatchCapture("IF_ID", False, "LOAD",
-                        bubble("IF_ID"), bubble("IF_ID"), 0)
-    idle = LatchCapture("ID_EX", True, None,
-                        bubble("ID_EX"), bubble("ID_EX"), None)
-    eff = plan_effect(GlitchSpec(0, 1.0), {"IF_ID": held, "ID_EX": idle}, TM)
-    assert eff == {}
+def test_exactly_the_fresh_driven_captures_corrupt_at_the_floor():
+    """At min_glitch_ns every capture of every class has late bits, so on
+    every cycle the corrupted latches are exactly the captures the profile
+    marks fresh and driven. A held latch (a DIV keeping EX in mb_muldiv, a
+    load-use stall in mb_store; mb_load has none) and a reset bubble come
+    through clean."""
+
+    held = {}
+    for name in ("mb_muldiv", "mb_load", "mb_store"):
+        base = Pipeline(workload_program(name), timing=TM)
+        held[name] = 0
+        while not base.arch.halted:
+            profile = base.captures
+            held[name] += (False, None) in profile.values()
+            expected = {latch for latch, (fresh, iclass) in profile.items()
+                        if fresh and iclass is not None}
+            fork = base.glitched(GlitchSpec(base.cycle, TM.min_glitch_ns))
+            assert {e.latch for e in fork.corruptions} == expected, \
+                (name, base.cycle)
+            base.clock()
+    assert held == {"mb_muldiv": 62, "mb_load": 0, "mb_store": 8}
 
 
 def test_stale_bits_merges_previous_value():
@@ -57,7 +75,7 @@ def test_stale_bits_merges_previous_value():
     # between the pc threshold (8.6*0.75+0.2) and the word threshold: only
     # instr_word bits can be late
     spec = GlitchSpec(3, 8.3, CorruptionPolicy.STALE_BITS)
-    eff = plan_effect(spec, one_latch([c]), TM)
+    eff = plan(spec, [c])
     assert set(eff) == {"IF_ID"}
     events = eff["IF_ID"]
     assert [e.field for e in events] == ["instr_word"]
@@ -78,7 +96,7 @@ def test_zero_late_bits_clears():
     c = cap("IF_ID", "LOAD", {"instr_word": clean, "pc": 0, "valid": 1},
             {"instr_word": 0, "pc": 0, "valid": 1})
     spec = GlitchSpec(3, 8.3, CorruptionPolicy.ZERO_LATE_BITS)
-    eff = plan_effect(spec, one_latch([c]), TM)
+    eff = plan(spec, [c])
     e = eff["IF_ID"][0]
     mask = 0
     for b in e.late_bits:
@@ -93,10 +111,11 @@ def test_stale_register_reverts_whole_latch():
             {"control": 0x0777, "rs1_val": 1, "rs2_val": 2, "imm": 5,
              "rd": 4, "pc": 4, "valid": 1})
     spec = GlitchSpec(3, 6.0, CorruptionPolicy.STALE_REGISTER)
-    eff = plan_effect(spec, one_latch([c]), TM)
+    eff = plan(spec, [c])
     events = eff["ID_EX"]
+    _, (_, _, previous, _) = c
     assert [e.field for e in events] == list(field_names("ID_EX"))
-    assert values(events) == c.previous._asdict()
+    assert values(events) == previous._asdict()
     assert any(e.late_bits for e in events)
     assert all(e.pc == 8 for e in events)
 
@@ -107,8 +126,7 @@ def test_ghost_revival_and_bubble_kill():
     ghost = cap("IF_ID", "ALU_IMM",
                 {"instr_word": 0x00100093, "pc": 0x10, "valid": 0},
                 {"instr_word": 0x00208463, "pc": 0x0C, "valid": 1})
-    eff = plan_effect(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS),
-                      one_latch([ghost]), TM)
+    eff = plan(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS), [ghost])
     events = eff["IF_ID"]
     assert all(e.ghost and not e.bubble_injected for e in events)
     assert values(events)["valid"] == 1
@@ -116,8 +134,7 @@ def test_ghost_revival_and_bubble_kill():
     kill = cap("IF_ID", "ALU_IMM",
                {"instr_word": 0x00100093, "pc": 0x10, "valid": 1},
                {"instr_word": 0, "pc": 0x0C, "valid": 0})
-    eff = plan_effect(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS),
-                      one_latch([kill]), TM)
+    eff = plan(GlitchSpec(7, 1.0, CorruptionPolicy.STALE_BITS), [kill])
     events = eff["IF_ID"]
     assert all(e.bubble_injected and not e.ghost for e in events)
     assert values(events)["valid"] == 0
@@ -126,7 +143,7 @@ def test_ghost_revival_and_bubble_kill():
 def test_corruption_recorded_even_when_value_unchanged():
     same = {"instr_word": 0x00000013, "pc": 0x40, "valid": 1}
     c = cap("IF_ID", "ALU_IMM", same, same)
-    eff = plan_effect(GlitchSpec(2, 7.5), one_latch([c]), TM)
+    eff = plan(GlitchSpec(2, 7.5), [c])
     events = eff["IF_ID"]
     assert events
     e = {e.field: e for e in events}["instr_word"]
@@ -144,11 +161,11 @@ def test_selectivity_between_thresholds():
                "rd": 5, "pc": 4, "valid": 1},
               {"control": 0, "rs1_val": 0, "rs2_val": 0, "imm": 0,
                "rd": 0, "pc": 0, "valid": 1})
-    eff = plan_effect(GlitchSpec(4, 8.6), one_latch([lw, mul]), TM)
+    eff = plan(GlitchSpec(4, 8.6), [lw, mul])
     assert set(eff) == {"IF_ID"}
-    eff = plan_effect(GlitchSpec(4, 8.39), one_latch([lw, mul]), TM)
+    eff = plan(GlitchSpec(4, 8.39), [lw, mul])
     assert set(eff) == {"IF_ID", "ID_EX"}
-    eff = plan_effect(GlitchSpec(4, 8.8), one_latch([lw, mul]), TM)
+    eff = plan(GlitchSpec(4, 8.8), [lw, mul])
     assert eff == {}
 
 
@@ -162,7 +179,7 @@ def test_late_set_grows_as_offset_shrinks():
              "rd": 0, "pc": 0, "valid": 1})
     prev_sets = None
     for offset in [8.2, 7.0, 5.5, 4.0, 2.5, 1.0]:
-        eff = plan_effect(GlitchSpec(0, offset), one_latch([c]), TM)
+        eff = plan(GlitchSpec(0, offset), [c])
         sets = {e.field: set(e.late_bits) for e in eff.get("ID_EX", ())}
         if prev_sets is not None:
             for fname, bits in prev_sets.items():
@@ -183,19 +200,15 @@ def reference_plan(spec, captures, timing):
 
     timing.check_offset(spec.offset_ns)
     effects = {}
-    for latch in LATCHES:
-        c = captures.get(latch)
-        if c is None or not c.fresh or c.iclass is None:
-            continue
+    for latch, (iclass, inc, prev, pc) in captures.items():
         late = {}
         for fname in field_names(latch):
-            bits = timing.late_bits(c.iclass, latch, fname, spec.offset_ns)
+            bits = timing.late_bits(iclass, latch, fname, spec.offset_ns)
             if bits:
                 late[fname] = bits
         if not late:
             continue
         fields = {}
-        inc, prev = c.incoming, c.previous
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
             for fname in field_names(latch):
                 fields[fname] = late.get(fname, ()), getattr(prev, fname)
@@ -212,9 +225,11 @@ def reference_plan(spec, captures, timing):
         valid_out = fields["valid"][1] & 1 if "valid" in fields else valid_in
         ghost = valid_in == 0 and valid_out == 1
         killed = valid_in == 1 and valid_out == 0
-        effects[latch] = tuple(
-            CorruptionEvent(spec.cycle, latch, fname, c.iclass, bits,
-                            getattr(inc, fname), bad, ghost, killed, c.pc)
+        captured = inc._replace(**{fname: bad
+                                   for fname, (_, bad) in fields.items()})
+        effects[latch] = captured, tuple(
+            CorruptionEvent(spec.cycle, latch, fname, iclass, bits,
+                            getattr(inc, fname), bad, ghost, killed, pc)
             for fname, (bits, bad) in fields.items())
     return effects
 
@@ -235,14 +250,15 @@ def latch_values(draw, latch):
 
 @st.composite
 def captures(draw):
+    """Corruptible captures of a random subset of latches, in latch order."""
+
     out = {}
     for latch in LATCHES:
         if draw(st.booleans()):
             inc = draw(latch_values(latch))
-            out[latch] = LatchCapture(
-                latch, draw(st.booleans()),
-                draw(st.none() | st.sampled_from([c.value for c in IClass])),
-                inc, draw(latch_values(latch)), getattr(inc, "pc", None))
+            out[latch] = (draw(st.sampled_from([c.value for c in IClass])),
+                          inc, draw(latch_values(latch)),
+                          getattr(inc, "pc", None))
     return out
 
 
