@@ -304,12 +304,13 @@ def _probe(plan: CampaignPlan, golden: RunSummary, baseline: Pipeline,
                                         plan.policy, plan.illegal_policy))
     changed = [e for e in fork.corruptions if e.changed]
     if not changed:
-        # the shortened cycle met timing everywhere that mattered; the
-        # run goes on as the golden run, skip simulating it
+        # the shortened edge met timing everywhere that mattered; the run
+        # goes on as the golden run, skip simulating it
         return _record(plan, golden, cycle, k, [], (), set(), golden)
 
-    # the continuation depends only on the post-glitch state: simulate each
-    # distinct state once and splice it onto this point's own prefix
+    # the continuation depends only on the state after the glitched cycle:
+    # simulate each distinct state once, splice it onto this point's prefix
+    fork.clock()
     pcs = base_pcs + tuple(e.pc for e in fork.retires)
     mechanisms = {m.kind for m in fork.mechanisms}
     key = fork.state_key()

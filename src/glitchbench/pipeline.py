@@ -260,16 +260,19 @@ class Pipeline:
         return p
 
     def glitched(self, spec: GlitchSpec) -> "Pipeline":
-        """A fork that has clocked the glitched cycle. The pipeline must be
+        """A fork whose opening edge `spec` has glitched: it stands at
+        `spec.cycle` with the edge's corruptions and mechanisms logged, and
+        its next clock() runs the glitched cycle. The pipeline must be
         running and at `spec.cycle`, or the glitch would never fire."""
 
         if self.arch.halted or spec.cycle != self.cycle:
             raise ValueError(f"cannot glitch cycle {spec.cycle}: the pipeline "
                              f"is {'halted' if self.arch.halted else 'running'}"
                              f" at cycle {self.cycle}")
+        if self.timing is None:
+            raise ValueError("glitch injection needs a timing model")
         fork = self.fork()
-        fork.schedule(spec)
-        fork.clock()
+        fork._apply_glitch(spec)  # plan_effect checks the offset
         return fork
 
     def state_key(self) -> tuple:
@@ -583,9 +586,10 @@ class Pipeline:
             self.corruptions.extend(events)
             value, meta_name, _, prev_meta = _LATCH_ATTRS[latch]
             clean = getattr(self, value)
-            if target != clean:
+            if target == clean:
                 # a glitch that changes no latch leaves the run glitch-free
-                self.illegal_policy = spec.illegal_policy
+                continue
+            self.illegal_policy = spec.illegal_policy
             setattr(self, value, target)
             meta = getattr(self, meta_name)
             if events[0].ghost:

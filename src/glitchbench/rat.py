@@ -11,11 +11,11 @@ Two views of the same timing data:
     nothing else. A band exists only when the targeted capture needs strictly
     more time than every other capture happening at the same edge.
 
-Predictions are checked against the simulator itself: glitch the victim
-cycle of the glitch-free pipeline at a candidate offset (Pipeline.glitched)
-and see which latches record corruption. Because corruption is confined to
-the glitch cycle, one forked cycle is enough per probe, and boundaries are
-located by bisection.
+Predictions are checked against the simulator itself: glitch the edge that
+opens the victim cycle of the glitch-free pipeline at a candidate offset
+(Pipeline.glitched) and see which latches record corruption. Corruption
+happens only at that edge, so a forked edge with no cycle clocked is
+enough per probe, and boundaries are located by bisection.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     when above the glitch floor, the lower boundary (another latch starts
     corrupting) are located by bisection; a grid walk across the interior
     confirms that exactly the predicted latch is hit. Each probe is one
-    `Pipeline.glitched` cycle, or with `full_runs` a from-reset run to the
-    end of the glitched cycle. A window at or past the glitch-free halt
+    `Pipeline.glitched` edge, which reads the corrupted latches without
+    clocking the glitched cycle, or with `full_runs` a from-reset run to
+    the end of the glitched cycle. A window at or past the glitch-free halt
     raises ValueError. `max_cycles` bounds the traced run that predicts
     the windows when none are given.
     """

@@ -164,6 +164,7 @@ def test_c3_decode_attack_replaces_a_load_and_misclassifies():
                     spec = GlitchSpec(w.cycle, off, policy,
                                       IllegalPolicy.NOP_REPLACE)
                     probe = baseline.glitched(spec)
+                    probe.clock()  # NOP_REPLACEMENT is raised in decode
                     if any(m.kind == "NOP_REPLACEMENT"
                            for m in probe.mechanisms) and tried < 400:
                         tried += 1

@@ -375,7 +375,8 @@ SLOTS = ("if_id", "id_ex", "ex_wb", "prev_if_id", "prev_id_ex", "prev_ex_wb")
 @pytest.mark.parametrize("policy", list(CorruptionPolicy))
 def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
     """Stages read a valid slot's meta without a fallback. Every point of
-    the default grid of every mb_* program, one glitched cycle each."""
+    the default grid of every mb_* program, at the glitched edge and after
+    the glitched cycle."""
 
     kinds = set()
     for name in MB_NAMES:
@@ -384,11 +385,14 @@ def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
         for cycle in plan.cycles:
             for k in range(plan.offset_count):
                 f = base.glitched(GlitchSpec(cycle, plan.offset(k), policy))
-                kinds |= {m.kind for m in f.mechanisms}
-                for slot in SLOTS:
-                    assert not getattr(f, slot).valid or isinstance(
-                        getattr(f, slot + "_meta"), SlotMeta), \
-                        (name, cycle, k, slot)
+                for at in ("edge", "cycle"):
+                    if at == "cycle":
+                        f.clock()
+                    kinds |= {m.kind for m in f.mechanisms}
+                    for slot in SLOTS:
+                        assert not getattr(f, slot).valid or isinstance(
+                            getattr(f, slot + "_meta"), SlotMeta), \
+                            (name, cycle, k, at, slot)
             base.clock()
     # stale policies revive slots from the previous slot's meta
     assert ("GHOST_INSTRUCTION" in kinds) == \
@@ -427,8 +431,10 @@ def test_forks_leave_the_parent_untouched():
 
 @pytest.mark.parametrize("name", ["mb_load", "mb_branch"])
 def test_glitched_fork_equals_a_scheduled_fork(name):
-    """`glitched` is a fork with the glitch scheduled, clocked once: every
-    cycle of the run, a few offsets, all three corruption policies."""
+    """`glitched` is a fork with the glitch scheduled, stopped at the
+    glitched edge: its corruptions are the scheduled fork's after one
+    clock, and one clock more makes the two equal. Every cycle of the run,
+    a few offsets, all three corruption policies."""
 
     prog = workload_program(name)
     base = Pipeline(prog, timing=TM)
@@ -442,6 +448,9 @@ def test_glitched_fork_equals_a_scheduled_fork(name):
                 f = base.fork()
                 f.schedule(spec)
                 f.clock()
+                assert probe.cycle == spec.cycle
+                assert probe.corruptions == f.corruptions
+                probe.clock()
                 assert probe.cycle == f.cycle == spec.cycle + 1
                 assert probe.corruptions == f.corruptions
                 assert probe.mechanisms == f.mechanisms
@@ -463,11 +472,71 @@ def test_glitched_needs_the_running_pipeline_at_the_glitch_cycle():
         with pytest.raises(ValueError,
                            match=f"cycle {cycle}: .* running at cycle 5"):
             p.glitched(GlitchSpec(cycle, 5.0))
-    assert p.glitched(GlitchSpec(5, 5.0)).cycle == 6
+    probe = p.glitched(GlitchSpec(5, 5.0))
+    assert probe.cycle == 5
+    probe.clock()
+    assert probe.cycle == 6
     p.run(1000)
     assert p.arch.halted
     with pytest.raises(ValueError, match="halted"):
         p.glitched(GlitchSpec(p.cycle, 5.0))
+
+
+def test_glitched_checks_the_timing_model_and_the_offset():
+    """`glitched` applies the edge without `schedule`, so it makes the same
+    checks itself, and a refused glitch leaves the pipeline as it was."""
+
+    prog = workload_program("mb_system")
+    untimed, fresh = Pipeline(prog), Pipeline(prog)
+    untimed.run(5)
+    fresh.run(5)
+    with pytest.raises(ValueError,
+                       match="^glitch injection needs a timing model$"):
+        untimed.glitched(GlitchSpec(5, 5.0))
+    assert vars(untimed) == vars(fresh)
+
+    p, fresh = Pipeline(prog, timing=TM), Pipeline(prog, timing=TM)
+    p.run(5)
+    fresh.run(5)
+    for offset in (-1.0, 0.0, TM.min_glitch_ns - 1e-9, TM.clock_period_ns,
+                   1e9, float("nan")):
+        with pytest.raises(TimingError):
+            p.glitched(GlitchSpec(5, offset))
+    assert vars(p) == vars(fresh)
+
+
+@pytest.mark.parametrize("policy", list(CorruptionPolicy))
+def test_an_edge_that_changes_no_field_leaves_the_baseline(policy):
+    """The campaign returns the golden record for a point whose glitched
+    edge changes no field, without clocking the glitched cycle. That holds
+    because such an edge fork is the baseline: the same state key, the
+    baseline's own latch values and metas, its illegal-word policy and no
+    mechanism. Every point of the mb_* default grids."""
+
+    unchanged = recorded = 0
+    for name in MB_NAMES:
+        plan, _ = build_plan(workload_program(name), TM, policy=policy)
+        base = Pipeline(plan.program, timing=TM)
+        for cycle in plan.cycles:
+            for k in range(plan.offset_count):
+                f = base.glitched(GlitchSpec(cycle, plan.offset(k), policy,
+                                             IllegalPolicy.NOP_REPLACE))
+                if any(e.changed for e in f.corruptions):
+                    continue
+                where = (name, cycle, k)
+                assert f.state_key() == base.state_key(), where
+                assert all(getattr(f, a) is getattr(base, a)
+                           for slot in SLOTS
+                           for a in (slot, slot + "_meta")), where
+                assert f.illegal_policy is base.illegal_policy, where
+                assert f.mechanisms == [], where
+                unchanged += 1
+                recorded += bool(f.corruptions)
+            base.clock()
+    assert unchanged > recorded, (unchanged, recorded)
+    # late bits that land on equal values are recorded but change nothing;
+    # on these grids a whole-register revert always changes some field
+    assert (recorded > 0) == (policy is not CorruptionPolicy.STALE_REGISTER)
 
 
 @pytest.mark.parametrize("policy", [CorruptionPolicy.STALE_BITS,
@@ -488,6 +557,7 @@ def test_no_run_replaces_one_pc_twice(policy):
             tails = {}  # state after the glitched cycle -> its NOP pcs
             for k in range(plan.offset_count):
                 f = base.glitched(GlitchSpec(cycle, plan.offset(k), policy))
+                f.clock()
                 before = len(f.mechanisms)
                 key = f.state_key()
                 if key not in tails:
