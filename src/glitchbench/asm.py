@@ -371,7 +371,10 @@ class Assembler:
         return (lui | addi << 32).to_bytes(8, "little")
 
     def _word(self, text: str, ln: int, col: int) -> bytes:
-        return (self._eval(text, ln, col) & 0xFFFFFFFF).to_bytes(4, "little")
+        val = self._eval(text, ln, col)
+        if not -(1 << 31) <= val < (1 << 32):
+            self._err(f"word value out of range: {val}", ln, col)
+        return (val & 0xFFFFFFFF).to_bytes(4, "little")
 
     def _byte(self, text: str, ln: int, col: int) -> bytes:
         val = self._eval(text, ln, col)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
@@ -438,11 +439,12 @@ def run_campaign(plan: CampaignPlan, golden: RunSummary, *,
     if jobs <= 1:
         records = _simulate_cycles(plan, golden, cycles)
     else:
-        # contiguous blocks: each worker rolls one baseline forward
+        # contiguous blocks, each rolling one baseline forward, on at most
+        # one process per CPU
         n = len(cycles)
         blocks = [(plan, golden, cycles[i * n // jobs:(i + 1) * n // jobs])
                   for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             chunks = pool.starmap(_simulate_cycles, blocks)
         records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda rec: rec.index)

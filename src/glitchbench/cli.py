@@ -297,6 +297,11 @@ def cmd_campaign(args) -> int:
     offsets = (_range(args.offset_range, "lo:hi:step", float, "offset")
                if args.offset_range else None)
     policy, illegal_policy = _policies(args)
+    for path in filter(None, (args.output, args.csv)):  # before the sweep
+        if Path(path).is_dir():
+            raise _InputError(f"{path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise _InputError(f"no directory to write {path} into")
     plan, golden = build_plan(
         prog, timing, cycles=cycles, offsets=offsets, policy=policy,
         illegal_policy=illegal_policy, label=label,
@@ -453,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offsets in ns, default a coarse whole-period scan")
     _add_policies(p)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1")
+                   help="blocks of cycles, at least 1, run on at most "
+                        "one process per CPU")
     p.add_argument("-o", "--output", default="report.json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH",
                    help="also write per-injection rows")

@@ -125,8 +125,6 @@ _OPCODE_CLASS = {
 CLASS_OF = {m: IClass.MULDIV if f7 == 1 else _OPCODE_CLASS[op]
             for m, (_fmt, op, _f3, f7) in ENCODINGS.items()}
 
-MNEMONICS = tuple(ENCODINGS)
-
 # mnemonic -> written operand kinds: registers rd/rs1/rs2, an immediate
 # `imm`, `mem` (`imm(rs1)`), a pc-relative `target` and the 20-bit `upper`
 # immediate; loads and jalr take `rd, mem`
@@ -290,15 +288,6 @@ def reencode(instr: Instruction) -> int:
 
     return encode(instr.mnemonic, rd=instr.rd, rs1=instr.rs1,
                   rs2=instr.rs2, imm=instr.imm)
-
-
-def make(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> Instruction:
-    """Build an Instruction with its raw word filled in."""
-
-    word = encode(mnemonic, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
-    got = decode(word)
-    assert isinstance(got, Instruction)
-    return got
 
 
 def disassemble(item: Instruction | Illegal | int) -> str:

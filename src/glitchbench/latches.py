@@ -39,10 +39,6 @@ _BUBBLE = {latch: t._make(0 for _ in t._fields)
            for latch, t in LATCH_TYPE.items()}
 
 
-def field_names(latch: str) -> tuple[str, ...]:
-    return LATCH_TYPE[latch]._fields
-
-
 def bubble(latch: str):
     """All-zero latch value, shared; valid=0 means no instruction."""
 

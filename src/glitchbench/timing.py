@@ -52,31 +52,19 @@ class TimingModel:
     def slack(self, iclass: str, latch: str) -> float:
         return self.clock_period_ns - self.setup_ns - self.crit(iclass, latch)
 
-    def violates(self, iclass: str, latch: str, offset: float) -> bool:
-        """True when a glitch edge at `offset` makes some bit of this
-        capture late (see late_bits)."""
-
-        self.check_offset(offset)
-        return offset < self.threshold(iclass, latch)
-
     def check_offset(self, offset: float) -> None:
         if not self.min_glitch_ns <= offset < self.clock_period_ns:
             raise TimingError(
                 f"offset {offset} outside [{self.min_glitch_ns}, "
                 f"{self.clock_period_ns})")
 
-    def max_factor(self, latch: str) -> float:
-        return max(self.field_factors[latch].values())
-
     def threshold(self, iclass: str, latch: str) -> float:
         """Largest bit arrival plus setup: offsets below this corrupt."""
 
-        return self.crit(iclass, latch) * self.max_factor(latch) + self.setup_ns
+        return (self.crit(iclass, latch)
+                * max(self.field_factors[latch].values()) + self.setup_ns)
 
     # -- per-bit arrivals ---------------------------------------------------
-
-    def field_arrival(self, iclass: str, latch: str, fname: str) -> float:
-        return self.crit(iclass, latch) * self.field_factors[latch][fname]
 
     def bit_arrivals(self, iclass: str, latch: str, fname: str) -> tuple[float, ...]:
         """Arrival time of every bit of one latch field, LSB first.
@@ -91,7 +79,7 @@ class TimingModel:
         if hit is not None:
             return hit
         width = FIELD_WIDTH[latch, fname]
-        peak = self.field_arrival(iclass, latch, fname)
+        peak = self.crit(iclass, latch) * self.field_factors[latch][fname]
         chosen = self._hash(latch, fname, "pick") % width
         arrivals = []
         for bit in range(width):
@@ -153,21 +141,6 @@ class TimingModel:
         return int.from_bytes(
             hashlib.sha256(text.encode()).digest()[:8], "big")
 
-    # -- io ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        crit: dict[str, dict[str, float]] = {}
-        for (iclass, latch), value in sorted(self.crit_ns.items()):
-            crit.setdefault(iclass, {})[latch] = value
-        return {
-            "clock_period_ns": self.clock_period_ns,
-            "setup_ns": self.setup_ns,
-            "min_glitch_ns": self.min_glitch_ns,
-            "crit_ns": crit,
-            "field_factors": {k: dict(v) for k, v in self.field_factors.items()},
-            "bit_spread_seed": self.bit_spread_seed,
-        }
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -183,6 +156,9 @@ def _number(value, what: str) -> float:
 
 
 def timing_from_dict(doc: dict) -> TimingModel:
+    """A validated model from a document shaped like REFERENCE_TIMING, the
+    one statement of the format."""
+
     _require(isinstance(doc, dict), "timing document must be an object")
     for key in ("clock_period_ns", "setup_ns", "min_glitch_ns",
                 "crit_ns", "field_factors", "bit_spread_seed"):
@@ -245,12 +221,6 @@ def load_timing(path) -> TimingModel:
     except json.JSONDecodeError as exc:
         raise TimingError(f"timing file is not valid JSON: {exc}") from exc
     return timing_from_dict(doc)
-
-
-def save_timing(model: TimingModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def reference_timing() -> TimingModel:

@@ -8,13 +8,14 @@ Two families:
 * one small microbenchmark per instruction class, used to exercise a
   single latch/class pair when calibrating or verifying windows.
 
-Everything here is generated from fixed seeds so the shipped fixture
-files can be regenerated byte for byte.
+Everything here is generated from fixed seeds. The shipped `bnn.s` is
+`generate_bnn_asm(make_bnn_model())` byte for byte; `bnn_inputs.json`,
+the stimuli with their host-reference outcomes, is a frozen fixture whose
+sha256 the tests pin.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -59,8 +60,8 @@ def xnor_popcount(a: int, b: int, width: int) -> int:
     return (~(a ^ b) & mask).bit_count()
 
 
-def make_bnn_model(seed: int = BNN_SEED) -> BnnModel:
-    rng = random.Random(seed)
+def make_bnn_model() -> BnnModel:
+    rng = random.Random(BNN_SEED)
     w1 = [rng.getrandbits(N_INPUT_BITS) for _ in range(N_HIDDEN)]
     w2 = [rng.getrandbits(N_HIDDEN) for _ in range(N_CLASSES)]
     inputs = [rng.getrandbits(N_INPUT_BITS) for _ in range(N_INPUTS)]
@@ -194,9 +195,8 @@ def generate_bnn_asm(model: BnnModel, stimulus: int = 0) -> str:
     return "\n".join(lines)
 
 
-def bnn_program(model: BnnModel | None = None, *,
-                input_index: int | None = None) -> Program:
-    model = model or make_bnn_model()
+def bnn_program(*, input_index: int | None = None) -> Program:
+    model = make_bnn_model()
     stimulus = 0
     if input_index is not None:
         if not 0 <= input_index < len(model.inputs):
@@ -397,17 +397,6 @@ _MB_BUILDERS = {
 }
 
 
-def microbench(iclass: IClass | str) -> str:
-    """Short self-halting program leaning on one instruction class."""
-
-    if isinstance(iclass, str):
-        iclass = IClass[iclass.upper()]
-    lines = [f"# {iclass.name.lower()} microbenchmark", ""]
-    lines += _MB_BUILDERS[iclass]()
-    lines.append("")
-    return "\n".join(lines)
-
-
 def workload_names() -> list[str]:
     return ["bnn"] + [f"mb_{c.name.lower()}" for c in _MB_BUILDERS]
 
@@ -417,12 +406,13 @@ def workload_source(name: str) -> str:
 
     if name == "bnn":
         return generate_bnn_asm(make_bnn_model())
-    if name.startswith("mb_"):
-        try:
-            return microbench(name[3:])
-        except KeyError:
-            pass
-    raise KeyError(f"unknown workload '{name}'")
+    iclass = IClass.__members__.get(name[3:].upper()) \
+        if name.startswith("mb_") else None
+    if iclass is None:
+        raise KeyError(f"unknown workload '{name}'")
+    # a short self-halting program leaning on one instruction class
+    return "\n".join([f"# {iclass.name.lower()} microbenchmark", "",
+                      *_MB_BUILDERS[iclass](), ""])
 
 
 def workload_program(name: str, *, input_index: int | None = None) -> Program:
@@ -431,28 +421,3 @@ def workload_program(name: str, *, input_index: int | None = None) -> Program:
     if input_index is not None:
         raise ValueError("only the bnn workload takes an input index")
     return assemble(workload_source(name))
-
-
-def bnn_fixture_payload(model: BnnModel | None = None) -> dict:
-    """JSON fixture body: stimuli plus host-reference outcomes."""
-
-    model = model or make_bnn_model()
-    rows = []
-    for i, x in enumerate(model.inputs):
-        ref = reference_bnn_forward(model, x)
-        rows.append({
-            "index": i,
-            "input": f"{x:#018x}",
-            "hidden": f"{ref.hidden:#06x}",
-            "winner": ref.winner,
-        })
-    return {
-        "seed": f"{BNN_SEED:#x}",
-        "layout": "64-16-10 xnor/popcount",
-        "cases": rows,
-    }
-
-
-def render_bnn_fixture_json(model: BnnModel | None = None) -> str:
-    return json.dumps(bnn_fixture_payload(model), indent=2,
-                      sort_keys=True) + "\n"

@@ -146,7 +146,7 @@ def test_c3_decode_attack_replaces_a_load_and_misclassifies():
     found = None
     tried = 0
     for k in range(8):
-        prog = bnn_program(MODEL, input_index=k)
+        prog = bnn_program(input_index=k)
         golden = golden_baseline(prog, max_cycles=100_000)
         traced = run_pipeline(prog, timing=TIMING, max_cycles=100_000,
                               record_trace=True)
@@ -283,13 +283,13 @@ def test_c8_classifier_runs_correctly_for_every_stimulus():
 
     correct = 0
     for i, x in enumerate(MODEL.inputs):
-        gold = run_golden(bnn_program(MODEL, input_index=i))
+        gold = run_golden(bnn_program(input_index=i))
         ref = reference_bnn_forward(MODEL, x)
         assert gold.status == "HALTED"
         assert gold.state.output_log == [ref.winner], i
         correct += 1
     for i in (0, 9, 21, 31):
-        run = run_pipeline(bnn_program(MODEL, input_index=i),
+        run = run_pipeline(bnn_program(input_index=i),
                            max_cycles=100_000)
         assert run.arch.output_log == \
             [reference_bnn_forward(MODEL, MODEL.inputs[i]).winner]

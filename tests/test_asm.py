@@ -126,6 +126,18 @@ def test_illegal_directive_emits_raw_word():
     assert isinstance(isa.decode(w[0]), isa.Illegal)
 
 
+@pytest.mark.parametrize("directive", [".word", ".illegal"])
+def test_word_values_are_range_checked(directive):
+    # the edges, -2**31 and 2**32 - 1, assemble; one past either is an error
+    w = words_of(asm.assemble(f"{directive} -2147483648\n"
+                              f"{directive} 4294967295\n"))
+    assert (w[0], w[4]) == (0x80000000, 0xFFFFFFFF)
+    for value in (-2147483649, 4294967296):
+        with pytest.raises(asm.AsmError, match="out of range") as err:
+            asm.assemble(f"nop\n  {directive} {value}\n")
+        assert (err.value.span.line, err.value.span.column) == (2, 3)
+
+
 def test_disassemble_reassemble_identity():
     # every emitted word survives a disassemble/re-assemble trip
     src = """

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glitchbench import campaign
 from glitchbench.asm import assemble
 from glitchbench.campaign import (
     CONTROL_FLOW_DEVIATION, CSV_HEADER, HANG, MAX_OFFSETS, NO_EFFECT,
@@ -34,6 +35,34 @@ def swept():
     plan, golden = build_plan(PROG, TIMING, offsets=(1.0, 9.5, 0.5),
                               label="mb_alu_imm")
     return plan, golden, run_campaign(plan, golden)
+
+
+def test_jobs_run_on_at_most_one_process_per_cpu(monkeypatch):
+    # a fake Pool records its size and runs the blocks serially, so no
+    # process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, blocks):
+            return [func(*block) for block in blocks]
+
+    plan, golden = build_plan(workload_program("mb_system"), TIMING,
+                              cycles=(0, 12), offsets=(1.0, 9.5, 0.5))
+    solo = run_campaign(plan, golden, jobs=1).to_json()
+    monkeypatch.setattr(campaign.multiprocessing, "Pool", SerialPool)
+    for cpus, jobs in ((3, 8), (3, 5000), (None, 5)):
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        assert run_campaign(plan, golden, jobs=jobs).to_json() == solo
+    assert sizes == [3, 3, 1]
 
 
 def test_offset_grid_fenceposts():

@@ -16,7 +16,7 @@ from glitchbench.campaign import build_plan, run_campaign
 from glitchbench.pipeline import run_pipeline
 from glitchbench.rat import (build_dynamic_rat, build_static_rat, rat_to_csv,
                              verify_rat_empirically)
-from glitchbench.timing import load_timing, reference_timing, save_timing
+from glitchbench.timing import REFERENCE_TIMING, load_timing, reference_timing
 from glitchbench.workloads import workload_program, workload_source
 
 GOOD_SRC = """\
@@ -419,11 +419,29 @@ def test_campaign_rejects_bad_jobs(capsys):
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, path", [
+    ("-o", "missing/r.json"), ("-o", "."),
+    ("--csv", "missing/r.csv"), ("--csv", "."),
+])
+def test_campaign_checks_output_paths_before_simulating(
+        flag, path, tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("glitchbench.cli.run_campaign", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("campaign", "--workload", "mb_system", "-o", "r.json",
+                   flag, path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_timing_env_and_flag(tmp_path, capsys, monkeypatch):
     # a louder-setup model via env: windows shrink, table still prints
-    tm = reference_timing()
     alt = tmp_path / "alt.json"
-    save_timing(tm, alt)
+    alt.write_text(REFERENCE_TIMING.read_text())
     monkeypatch.setenv("GLITCHBENCH_TIMING", str(alt))
     assert run_cli("rat") == 0
     assert capsys.readouterr().out == \
@@ -434,7 +452,7 @@ def test_timing_env_and_flag(tmp_path, capsys, monkeypatch):
 
 
 def test_timing_file_with_non_finite_values_exits_2(tmp_path, capsys):
-    doc = reference_timing().to_dict()
+    doc = json.loads(REFERENCE_TIMING.read_text())
     doc["clock_period_ns"] = float("inf")
     inf = tmp_path / "inf.json"
     inf.write_text(json.dumps(doc))   # written as Infinity

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from glitchbench.glitch import (CorruptionEvent, CorruptionPolicy, GlitchSpec,
                                 IllegalPolicy, plan_effect)
 from glitchbench.isa import IClass
-from glitchbench.latches import LATCH_FIELDS, LATCHES, bubble, field_names
+from glitchbench.latches import LATCH_FIELDS, LATCH_TYPE, LATCHES, bubble
 from glitchbench.pipeline import Pipeline
 from glitchbench.timing import reference_timing
 from glitchbench.workloads import workload_program
@@ -114,7 +114,7 @@ def test_stale_register_reverts_whole_latch():
     eff = plan(spec, [c])
     events = eff["ID_EX"]
     _, (_, _, previous, _) = c
-    assert [e.field for e in events] == list(field_names("ID_EX"))
+    assert [e.field for e in events] == list(LATCH_TYPE["ID_EX"]._fields)
     assert values(events) == previous._asdict()
     assert any(e.late_bits for e in events)
     assert all(e.pc == 8 for e in events)
@@ -202,7 +202,7 @@ def reference_plan(spec, captures, timing):
     effects = {}
     for latch, (iclass, inc, prev, pc) in captures.items():
         late = {}
-        for fname in field_names(latch):
+        for fname in LATCH_TYPE[latch]._fields:
             bits = timing.late_bits(iclass, latch, fname, spec.offset_ns)
             if bits:
                 late[fname] = bits
@@ -210,7 +210,7 @@ def reference_plan(spec, captures, timing):
             continue
         fields = {}
         if spec.policy is CorruptionPolicy.STALE_REGISTER:
-            for fname in field_names(latch):
+            for fname in LATCH_TYPE[latch]._fields:
                 fields[fname] = late.get(fname, ()), getattr(prev, fname)
         else:
             for fname, bits in late.items():

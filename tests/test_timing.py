@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 import math
@@ -9,8 +8,8 @@ import pytest
 from glitchbench.isa import IClass
 from glitchbench.latches import FIELD_WIDTH, LATCH_FIELDS, LATCHES, bubble
 from glitchbench.rat import SCAN_STEP_NS
-from glitchbench.timing import (TimingError, load_timing, reference_timing,
-                                save_timing, timing_from_dict)
+from glitchbench.timing import (REFERENCE_TIMING, TimingError, load_timing,
+                                reference_timing, timing_from_dict)
 
 FIXTURE = pathlib.Path(__file__).resolve().parents[1] / \
     "src/glitchbench/fixtures/timing_ref.json"
@@ -44,19 +43,19 @@ def test_fixture_scalars(tm):
 
 def test_violation_boundary_is_strict(tm):
     hi = tm.crit("LOAD", "IF_ID") + tm.setup_ns
-    assert tm.violates("LOAD", "IF_ID", hi - 1e-9)
-    assert not tm.violates("LOAD", "IF_ID", hi)  # exactly meeting setup is safe
-    assert tm.violates("LOAD", "IF_ID", 8.3)
-    assert not tm.violates("SYSTEM", "EX_WB", 3.7 + 1e-9)
-    assert tm.violates("SYSTEM", "EX_WB", 3.7 - 1e-9)
+    assert hi - 1e-9 < tm.threshold("LOAD", "IF_ID")
+    assert not hi < tm.threshold("LOAD", "IF_ID")  # meeting setup is safe
+    assert 8.3 < tm.threshold("LOAD", "IF_ID")
+    assert not 3.7 + 1e-9 < tm.threshold("SYSTEM", "EX_WB")
+    assert 3.7 - 1e-9 < tm.threshold("SYSTEM", "EX_WB")
 
 
 def test_offset_domain_checked(tm):
     with pytest.raises(TimingError):
-        tm.violates("LOAD", "IF_ID", 0.5)   # below smallest producible glitch
+        tm.check_offset(0.5)   # below smallest producible glitch
     with pytest.raises(TimingError):
-        tm.violates("LOAD", "IF_ID", 10.0)  # not shorter than the period
-    tm.violates("LOAD", "IF_ID", 1.0)       # inclusive lower bound
+        tm.check_offset(10.0)  # not shorter than the period
+    tm.check_offset(1.0)       # inclusive lower bound
 
 
 def test_bit_arrivals_shape(tm):
@@ -81,7 +80,7 @@ def test_bit_arrivals_deterministic(tm):
 
 
 def test_seed_changes_spread():
-    doc = reference_timing().to_dict()
+    doc = json.loads(REFERENCE_TIMING.read_text())
     doc["bit_spread_seed"] = 12345
     other = timing_from_dict(doc)
     base = reference_timing()
@@ -103,7 +102,7 @@ def test_late_bits_monotone_in_offset(tm):
 
 def test_violates_agrees_with_late_bits():
     # no IF_ID field factor is 1.0, so the threshold sits below crit + setup
-    doc = reference_timing().to_dict()
+    doc = json.loads(REFERENCE_TIMING.read_text())
     doc["field_factors"]["IF_ID"] = {"instr_word": 0.5, "pc": 0.5,
                                      "valid": 0.12}
     model = timing_from_dict(doc)
@@ -113,15 +112,16 @@ def test_violates_agrees_with_late_bits():
         for offset in (1.0, edge - 1e-9, edge, edge + 1e-9, 6.0, 9.9):
             late = any(model.late_bits(iclass, "IF_ID", fname, offset)
                        for fname, _width in LATCH_FIELDS["IF_ID"])
-            assert model.violates(iclass, "IF_ID", offset) == late, \
+            model.check_offset(offset)
+            assert (offset < model.threshold(iclass, "IF_ID")) == late, \
                 (iclass, offset)
-    assert not model.violates("LOAD", "IF_ID", 6.0)
+    assert not 6.0 < model.threshold("LOAD", "IF_ID")
 
 
 def test_threshold_uses_max_factor(tm):
     # every latch in the reference set has a unit factor field
     for latch in LATCHES:
-        assert tm.max_factor(latch) == 1.0
+        assert max(tm.field_factors[latch].values()) == 1.0
     assert tm.threshold("LOAD", "IF_ID") == pytest.approx(8.8)
     assert tm.threshold("MULDIV", "ID_EX") == pytest.approx(8.4)
 
@@ -150,7 +150,7 @@ def test_threshold_uses_max_factor(tm):
     (lambda d: d["crit_ns"]["LOAD"].__setitem__("IF_ID", math.nan), "IF_ID"),
 ])
 def test_validation_rejects(mutate, fragment):
-    doc = copy.deepcopy(reference_timing().to_dict())
+    doc = json.loads(REFERENCE_TIMING.read_text())
     mutate(doc)
     with pytest.raises(TimingError, match=fragment):
         timing_from_dict(doc)
@@ -165,16 +165,18 @@ def test_load_rejects_bad_file(tmp_path):
         load_timing(tmp_path / "missing.json")
 
 
-def test_save_round_trip(tm, tmp_path):
+def test_fixture_copy_loads_the_same_model(tm, tmp_path):
+    # a custom model starts from a copy of the fixture
     p = tmp_path / "copy.json"
-    save_timing(tm, p)
-    assert json.loads(p.read_text()) == json.loads(FIXTURE.read_text())
+    p.write_text(REFERENCE_TIMING.read_text())
+    assert load_timing(p) == tm
+    assert REFERENCE_TIMING.resolve() == FIXTURE  # the frozen fixture
 
 
 def _shared_factor_model():
     # another setup and seed, and IF_ID instr_word and pc share a factor, so
     # their designated bits land on one key
-    doc = reference_timing().to_dict()
+    doc = json.loads(REFERENCE_TIMING.read_text())
     doc["setup_ns"] = 0.23
     doc["bit_spread_seed"] = 0xC0FFEE
     doc["field_factors"]["IF_ID"]["pc"] = 1.0
@@ -215,6 +217,4 @@ def test_late_fields_match_late_bits(model, shared):
                 for _f, bits, mask in rows:
                     assert mask == sum(1 << b for b in bits)
                 assert (rows == ()) == (offset >= edge), (iclass, offset)
-                if model.min_glitch_ns <= offset < model.clock_period_ns:
-                    assert bool(rows) == model.violates(iclass, latch, offset)
     assert bool(shared_keys) == shared  # equal keys across fields
