@@ -120,15 +120,21 @@ def _range(text: str, form: str, convert, what: str) -> tuple:
         raise _InputError(f"bad {what} range '{text}'")
 
 
+def _write(path: str | None, text: str) -> None:
+    """`text` to the file at `path`, or to stdout when it is unset or '-'."""
+
+    if path and path != "-":
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, text: str, payload) -> None:
     """The payload as JSON under --json, else the text, to -o or stdout."""
 
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output and args.output != "-":
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, text)
 
 
 # ---------------- subcommands ----------------
@@ -297,6 +303,8 @@ def cmd_campaign(args) -> int:
     offsets = (_range(args.offset_range, "lo:hi:step", float, "offset")
                if args.offset_range else None)
     policy, illegal_policy = _policies(args)
+    if args.output == args.csv == "-":
+        raise _InputError("-o and --csv cannot both be standard output")
     for path in filter(None, (args.output, args.csv)):  # before the sweep
         if Path(path).is_dir():
             raise _InputError(f"{path} is a directory")
@@ -307,17 +315,18 @@ def cmd_campaign(args) -> int:
         illegal_policy=illegal_policy, label=label,
         max_cycles=args.max_cycles)
     result = run_campaign(plan, golden, jobs=args.jobs)
-    Path(args.output).write_text(result.to_json())
+    _write(args.output, result.to_json())
     if args.csv:
-        Path(args.csv).write_text(result.to_csv())
+        _write(args.csv, result.to_csv())
     summary = result.summary()
-    print(f"{label}: {summary['points']} injections over cycles "
-          f"[{plan.cycle_lo}, {plan.cycle_hi}) x {plan.offset_count} offsets "
-          f"-> {args.output}")
-    for line in _outcome_lines(summary["outcomes"], summary["points"]):
-        print(line)
+    lines = [f"{label}: {summary['points']} injections over cycles "
+             f"[{plan.cycle_lo}, {plan.cycle_hi}) x {plan.offset_count} "
+             f"offsets -> {args.output}",
+             *_outcome_lines(summary["outcomes"], summary["points"])]
     if summary["misclassified"]:
-        print(f"  misclassified outputs: {summary['misclassified']}")
+        lines.append(f"  misclassified outputs: {summary['misclassified']}")
+    print("\n".join(lines),  # the summary stays off a report on stdout
+          file=sys.stderr if "-" in (args.output, args.csv) else sys.stdout)
     return EXIT_OK
 
 
@@ -326,7 +335,7 @@ def cmd_report(args) -> int:
     rep = json.loads(Path(args.report).read_text())
     try:
         text = _report_text(rep, args.top)
-    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise _InputError(f"{args.report} is not a campaign report: {exc}")
     print(text, end="")
     return EXIT_OK

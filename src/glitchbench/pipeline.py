@@ -22,7 +22,9 @@ A glitch at cycle n shortens the edge that opened cycle n, so it attacks
 the values latched for the instructions sitting in ID, EX, and WB during
 cycle n. Which captures a glitch can reach is `glitch.corruptible` of the
 capture profile: a squashed instruction still drives the latch inputs and
-stays corruptible, which is how ghost revivals happen.
+stays corruptible, which is how ghost revivals happen. One injection
+path: advance to cycle n, then glitch that edge (`_apply_glitch`), on a
+fork (`glitched`) or in place (`run_pipeline`).
 """
 
 from __future__ import annotations
@@ -224,35 +226,23 @@ class Pipeline:
         self.ex_remaining = 0
         self.fetch_stopped = False
         self.illegal_policy = IllegalPolicy.TRAP
-        self.glitches: dict[int, GlitchSpec] = {}
         self.dyn_counter = 0
         self.retires: list[StepEvent] = []
         self.corruptions: list[CorruptionEvent] = []
         self.mechanisms: list[MechanismEvent] = []
-        self.trace: list[CycleTrace] | None = [] if record_trace else None
+        # a cycle's entry is made at its opening edge, before any glitch
+        self.trace = [self._trace_entry()] if record_trace else None
 
     # -- setup ---------------------------------------------------------------
-
-    def schedule(self, spec: GlitchSpec) -> None:
-        if self.timing is None:
-            raise ValueError("glitch injection needs a timing model")
-        if spec.cycle < 0:
-            raise ValueError(f"glitch cycle must be at least 0, "
-                             f"got {spec.cycle}")
-        if spec.cycle in self.glitches:
-            raise ValueError(f"duplicate glitch for cycle {spec.cycle}")
-        self.timing.check_offset(spec.offset_ns)
-        self.glitches[spec.cycle] = spec
 
     def fork(self) -> "Pipeline":
         """Cheap copy for what-if probing. Latch values and metas are
         shared; the architectural state (including the output log) is
-        copied, and glitches and event logs restart empty."""
+        copied, and the event logs restart empty, untraced."""
 
         p = object.__new__(Pipeline)
         p.__dict__.update(self.__dict__)
         p.arch = self.arch.copy()
-        p.glitches = {}
         p.retires = []
         p.corruptions = []
         p.mechanisms = []
@@ -261,30 +251,22 @@ class Pipeline:
 
     def glitched(self, spec: GlitchSpec) -> "Pipeline":
         """A fork whose opening edge `spec` has glitched: it stands at
-        `spec.cycle` with the edge's corruptions and mechanisms logged, and
-        its next clock() runs the glitched cycle. The pipeline must be
-        running and at `spec.cycle`, or the glitch would never fire."""
+        `spec.cycle` with the edge logged, and its next clock() runs the
+        glitched cycle. A refused glitch leaves this pipeline as it was."""
 
-        if self.arch.halted or spec.cycle != self.cycle:
-            raise ValueError(f"cannot glitch cycle {spec.cycle}: the pipeline "
-                             f"is {'halted' if self.arch.halted else 'running'}"
-                             f" at cycle {self.cycle}")
-        if self.timing is None:
-            raise ValueError("glitch injection needs a timing model")
         fork = self.fork()
-        fork._apply_glitch(spec)  # plan_effect checks the offset
+        fork._apply_glitch(spec)
         return fork
 
     def state_key(self) -> tuple:
         """Hashable summary of everything a glitch-free continuation reads.
 
-        Two pipelines at the same cycle with equal keys and no glitch still
-        pending retire the same pcs, raise the same mechanisms and end in
-        the same architectural state. Left out on purpose: the previous
-        latches and the capture profile (read only by a glitch), dynamic
-        ids, and the raw word, mnemonic and class of each slot (read only by
-        traces, retire records and glitch captures). A dead slot keys as
-        None: only a glitch could revive it.
+        Two pipelines at one cycle with equal keys retire the same pcs,
+        raise the same mechanisms and end in the same architectural state.
+        Left out on purpose: the previous latches and the capture profile
+        (read only by a glitch), dynamic ids, and the raw word, mnemonic and
+        class of each slot (read only by traces, retire records and glitch
+        captures). A dead slot keys as None: only a glitch could revive it.
         """
 
         a = self.arch
@@ -317,13 +299,6 @@ class Pipeline:
         if self.arch.halted:
             return False
         cyc = self.cycle
-        if self.trace is not None:
-            self.trace.append(self._trace_entry())
-
-        spec = self.glitches.get(cyc)
-        if spec is not None:
-            self._apply_glitch(spec)
-
         # WB first: its register write is visible to ID in the same cycle
         self._writeback()
         if self.arch.halted:
@@ -376,6 +351,8 @@ class Pipeline:
         self.prev_ex_wb_meta, self.ex_wb_meta = self.ex_wb_meta, ex_wb_meta
         self.captures = captures
         self.cycle = cyc + 1
+        if self.trace is not None:
+            self.trace.append(self._trace_entry())
         return True
 
     # -- stages ----------------------------------------------------------------
@@ -576,6 +553,19 @@ class Pipeline:
     # -- glitch application ----------------------------------------------------
 
     def _apply_glitch(self, spec: GlitchSpec) -> None:
+        """Glitch the edge that opened the current cycle, in place. It needs
+        a timing model and the pipeline running at `spec.cycle` (at least
+        0); `plan_effect` checks the offset. A refusal changes nothing."""
+
+        if self.timing is None:
+            raise ValueError("glitch injection needs a timing model")
+        if spec.cycle < 0:
+            raise ValueError(f"glitch cycle must be at least 0, "
+                             f"got {spec.cycle}")
+        if self.arch.halted or spec.cycle != self.cycle:
+            raise ValueError(f"cannot glitch cycle {spec.cycle}: the pipeline "
+                             f"is {'halted' if self.arch.halted else 'running'}"
+                             f" at cycle {self.cycle}")
         caps = {}
         for latch, iclass in corruptible(self.captures).items():
             value, meta_name, prev, _ = _LATCH_ATTRS[latch]
@@ -619,12 +609,10 @@ class Pipeline:
                                ("WB", self.ex_wb, self.ex_wb_meta)):
             occ[stage] = (getattr(slot, "pc", m.pc), m.mnemonic,
                           m.iclass_name, m.dyn_id) if slot.valid else None
-        if self.fetch_stopped or self.arch.halted:
-            occ["IF"] = None
-        else:
-            pc = self.fetch_pc & MASK32
-            e = _fetch(self.arch.mem, pc)[2]
-            occ["IF"] = (pc, e[0], e[1], -1) if e else (pc, "", None, -1)
+        pc = self.fetch_pc & MASK32
+        e = _fetch(self.arch.mem, pc)[2]
+        occ["IF"] = None if self.fetch_stopped else \
+            (pc, e[0], e[1], -1) if e else (pc, "", None, -1)
         return CycleTrace(self.cycle, occ, self.captures)
 
 
@@ -652,9 +640,17 @@ def run_pipeline(program: Program, *, timing: TimingModel | None = None,
                  glitches=(), max_cycles: int = machine.MAX_CYCLES,
                  strict: bool = False, record_trace: bool = False
                  ) -> PipelineRun:
+    """Run from reset for at most `max_cycles` cycles, glitching each edge
+    in place; a glitch it never reaches, or a repeat, raises ValueError."""
+
     p = Pipeline(program, timing=timing, strict=strict,
                  record_trace=record_trace)
-    for spec in glitches:
-        p.schedule(spec)
+    specs = sorted(glitches, key=lambda spec: spec.cycle)
+    for spec, after in zip(specs, specs[1:]):
+        if spec.cycle == after.cycle:
+            raise ValueError(f"duplicate glitch for cycle {spec.cycle}")
+    for spec in specs:
+        p.run(min(spec.cycle, max_cycles))
+        p._apply_glitch(spec)
     p.run(max_cycles)
     return p.result()

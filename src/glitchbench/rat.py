@@ -153,24 +153,18 @@ def verify_rat_empirically(program: Program, timing: TimingModel,
     checks = []
     base = None if full_runs else Pipeline(program, timing=timing)
     for w in sorted(windows, key=lambda w: w.cycle):
-        while base is not None and base.cycle < w.cycle \
-                and not base.arch.halted:
-            base.clock()
+        while base is not None and base.cycle < w.cycle and base.clock():
+            pass
         probes = 0
 
         def corrupted(offset: float) -> set[str]:
             nonlocal probes
             probes += 1
             spec = GlitchSpec(w.cycle, offset)
-            if base is not None:
-                return {c.latch for c in base.glitched(spec).corruptions}
-            run = run_pipeline(program, timing=timing, glitches=[spec],
-                               max_cycles=w.cycle + 1)
-            if run.cycles <= w.cycle:
-                # glitch-free up to its halt, so the glitch never fired
-                raise ValueError(f"cannot glitch cycle {w.cycle}: the "
-                                 f"pipeline is halted at cycle {run.cycles}")
-            return {c.latch for c in run.corruptions}
+            probe = (base.glitched(spec) if base is not None else
+                     run_pipeline(program, timing=timing, glitches=[spec],
+                                  max_cycles=w.cycle + 1))
+            return {c.latch for c in probe.corruptions}
 
         emp_hi = _bisect(corrupted, o_min, top, lambda hit: w.latch in hit)
         if w.lo_ns > o_min + eps:

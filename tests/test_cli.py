@@ -187,6 +187,7 @@ def test_glitch_cycles_and_offsets_must_lie_in_the_run(argv, code, tmp_path,
 
 MALFORMED_REPORTS = {
     "not_an_object": lambda rep: [1],
+    "missing_key": lambda rep: {"label": 1},
     "grid_not_an_object": lambda rep: {"label": "x", "grid": [],
                                        "summary": {}},
     "zero_points": lambda rep: {**rep, "grid": {**rep["grid"], "points": 0}},
@@ -402,6 +403,46 @@ def test_campaign_cli_matches_library(tmp_path, capsys):
     assert run_cli("report", str(rep), "--top", "2") == 0
     out = capsys.readouterr().out
     assert "mb_system" in out and "outcomes:" in out
+
+
+@pytest.mark.parametrize("flag", ["-o", "--csv"])
+def test_campaign_writes_dash_to_stdout(flag, tmp_path, capsys,
+                                        monkeypatch):
+    """`-` is standard output, as for run, rat and inject; the summary then
+    goes to stderr."""
+
+    monkeypatch.chdir(tmp_path)
+    other = "--csv" if flag == "-o" else "-o"
+    assert run_cli("campaign", "--workload", "mb_system", "--cycles", "2:4",
+                   "--offset-range", "3.0:8.0:1.0", flag, "-",
+                   other, "file") == 0
+    out, err = capsys.readouterr()
+    plan, golden = build_plan(workload_program("mb_system"),
+                              reference_timing(), cycles=(2, 4),
+                              offsets=(3.0, 8.0, 1.0), label="mb_system")
+    expect = run_campaign(plan, golden)
+    report, rows = expect.to_json(), expect.to_csv()
+    if flag == "--csv":
+        report, rows = rows, report
+    assert out == report
+    assert (tmp_path / "file").read_text() == rows
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert err.startswith("mb_system: 12 injections over cycles [2, 4)")
+
+
+def test_campaign_refuses_two_outputs_on_stdout(tmp_path, capsys,
+                                               monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("glitchbench.cli.run_campaign", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("campaign", "--workload", "mb_system",
+                   "-o", "-", "--csv", "-") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: -o and --csv cannot both be standard output\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_campaign_rejects_bad_ranges(capsys):

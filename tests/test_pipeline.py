@@ -228,19 +228,28 @@ GLITCH_PROG = """
 """
 
 
-def test_schedule_validation():
+def test_run_pipeline_refuses_a_glitch_it_cannot_fire():
     prog = assemble(GLITCH_PROG)
-    p = Pipeline(prog)
     with pytest.raises(ValueError, match="timing"):
-        p.schedule(GlitchSpec(3, 5.0))
-    p = Pipeline(prog, timing=TM)
-    p.schedule(GlitchSpec(3, 5.0))
+        run_pipeline(prog, glitches=[GlitchSpec(3, 5.0)])
     with pytest.raises(ValueError, match="duplicate"):
-        p.schedule(GlitchSpec(3, 6.0))
+        run_pipeline(prog, timing=TM,
+                     glitches=[GlitchSpec(3, 5.0), GlitchSpec(3, 6.0)])
     with pytest.raises(TimingError):
-        p.schedule(GlitchSpec(4, 0.2))
+        run_pipeline(prog, timing=TM, glitches=[GlitchSpec(4, 0.2)])
     with pytest.raises(ValueError, match="at least 0"):
-        p.schedule(GlitchSpec(-1, 5.0))
+        run_pipeline(prog, timing=TM, glitches=[GlitchSpec(-1, 5.0)])
+    # a glitch the run never reaches raises as `glitched` does
+    halt = run_pipeline(prog).cycles
+    for cycle in (halt, 10**9):
+        with pytest.raises(ValueError, match=f"^cannot glitch cycle {cycle}: "
+                           f"the pipeline is halted at cycle {halt}$"):
+            run_pipeline(prog, timing=TM, glitches=[GlitchSpec(cycle, 5.0)])
+    assert halt > 4
+    with pytest.raises(ValueError, match="^cannot glitch cycle 4: "
+                       "the pipeline is running at cycle 3$"):
+        run_pipeline(prog, timing=TM, glitches=[GlitchSpec(4, 5.0)],
+                     max_cycles=3)
 
 
 def test_glitch_free_cycles_have_no_events():
@@ -353,21 +362,6 @@ def test_fork_resume_equals_straight_run():
     assert f.arch.same_arch(full.arch)
 
 
-def test_fork_glitch_probe_matches_full_run():
-    prog = assemble(GLITCH_PROG)
-    spec = GlitchSpec(3, 8.3)
-    full = run_pipeline(prog, timing=TM, glitches=[spec], max_cycles=10_000)
-    p = Pipeline(prog, timing=TM)
-    while p.cycle < 3:
-        p.clock()
-    f = p.fork()
-    f.schedule(spec)
-    f.run(10_000)
-    assert f.corruptions == full.corruptions
-    assert f.mechanisms == full.mechanisms
-    assert f.arch.same_arch(full.arch)
-
-
 MB_NAMES = [name for name in workload_names() if name.startswith("mb_")]
 SLOTS = ("if_id", "id_ex", "ex_wb", "prev_if_id", "prev_id_ex", "prev_ex_wb")
 
@@ -419,7 +413,8 @@ def test_forks_leave_the_parent_untouched():
                 f = parent.fork()
                 assert all(getattr(f, a) is getattr(parent, a)
                            for slot in SLOTS for a in (slot, slot + "_meta"))
-                f.schedule(GlitchSpec(cycle, plan.offset(k), policy, illegal))
+                f = parent.glitched(
+                    GlitchSpec(cycle, plan.offset(k), policy, illegal))
                 f.clock()
                 f.run(golden.cycles * plan.hang_factor)
                 kinds |= {m.kind for m in f.mechanisms}
@@ -430,35 +425,33 @@ def test_forks_leave_the_parent_untouched():
 
 
 @pytest.mark.parametrize("name", ["mb_load", "mb_branch"])
-def test_glitched_fork_equals_a_scheduled_fork(name):
-    """`glitched` is a fork with the glitch scheduled, stopped at the
-    glitched edge: its corruptions are the scheduled fork's after one
-    clock, and one clock more makes the two equal. Every cycle of the run,
-    a few offsets, all three corruption policies."""
+def test_from_reset_glitch_equals_a_glitched_fork(name):
+    """A from-reset `run_pipeline` glitch (the oracle, no fork) equals a
+    baseline advanced to the glitch cycle, `glitched` there and run on:
+    the same corruptions, mechanisms, retires and final state. Every cycle
+    of the run, a few offsets, all three corruption policies."""
 
-    prog = workload_program(name)
-    base = Pipeline(prog, timing=TM)
-    fresh = Pipeline(prog, timing=TM)
+    plan, golden = build_plan(workload_program(name), TM)
+    budget = golden.cycles * plan.hang_factor
+    base = Pipeline(plan.program, timing=TM)
+    fresh = Pipeline(plan.program, timing=TM)
     changed = 0
     while not base.arch.halted:
         for policy in CorruptionPolicy:
             for offset in (1.0, 3.5, 6.0, 8.5):
                 spec = GlitchSpec(base.cycle, offset, policy)
-                probe = base.glitched(spec)
-                f = base.fork()
-                f.schedule(spec)
-                f.clock()
-                assert probe.cycle == spec.cycle
-                assert probe.corruptions == f.corruptions
-                probe.clock()
-                assert probe.cycle == f.cycle == spec.cycle + 1
-                assert probe.corruptions == f.corruptions
-                assert probe.mechanisms == f.mechanisms
-                assert probe.retires == f.retires
-                assert all(getattr(probe, a) == getattr(f, a)
-                           for slot in SLOTS for a in (slot, slot + "_meta"))
-                assert probe.state_key() == f.state_key()
-                changed += any(e.changed for e in probe.corruptions)
+                run = run_pipeline(plan.program, timing=TM, glitches=[spec],
+                                   max_cycles=budget)
+                f = base.glitched(spec)
+                f.run(budget)
+                where = (name, spec)
+                assert f.corruptions == run.corruptions, where
+                assert f.mechanisms == run.mechanisms, where
+                assert base.retires + f.retires == run.retires, where
+                assert f.arch.same_arch(run.arch), where
+                assert (f.cycle, f.arch.halted) == \
+                    (run.cycles, run.status == "HALTED"), where
+                changed += any(e.changed for e in run.corruptions)
         assert vars(base) == vars(fresh), (name, base.cycle)
         base.clock()
         fresh.clock()
@@ -483,8 +476,8 @@ def test_glitched_needs_the_running_pipeline_at_the_glitch_cycle():
 
 
 def test_glitched_checks_the_timing_model_and_the_offset():
-    """`glitched` applies the edge without `schedule`, so it makes the same
-    checks itself, and a refused glitch leaves the pipeline as it was."""
+    """`glitched` checks the timing model and the offset, and a refused
+    glitch leaves the pipeline as it was."""
 
     prog = workload_program("mb_system")
     untimed, fresh = Pipeline(prog), Pipeline(prog)

@@ -146,17 +146,18 @@ def test_both_probe_paths_reject_windows_past_the_halt(full_runs):
 
 
 def first_latch_difference(prog, spec):
-    """First cycle at whose start a clean pipeline and one glitched by
-    `spec`, clocked together, hold different (IF_ID, ID_EX, EX_WB) values;
-    None if they agree until both halt."""
+    """First cycle at whose start, before that cycle's glitch, a clean
+    pipeline and one glitched by `spec`, clocked together, hold different
+    (IF_ID, ID_EX, EX_WB) values; None if they agree until both halt."""
 
     clean, glitched = Pipeline(prog), Pipeline(prog, timing=TM)
-    glitched.schedule(spec)
     while True:
         if (clean.cycle != glitched.cycle
                 or (clean.if_id, clean.id_ex, clean.ex_wb)
                 != (glitched.if_id, glitched.id_ex, glitched.ex_wb)):
             return clean.cycle
+        if glitched.cycle == spec.cycle:
+            glitched = glitched.glitched(spec)
         if not any([clean.clock(), glitched.clock()]):
             return None
         assert clean.cycle < 10_000
