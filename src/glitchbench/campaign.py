@@ -12,13 +12,13 @@ produces float-identical records and a byte-identical report.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from json.encoder import encode_basestring_ascii as _string
+from typing import ClassVar, Iterator
 
 from .asm import Program
 from .glitch import CorruptionPolicy, GlitchSpec, IllegalPolicy
@@ -377,7 +377,9 @@ class CampaignResult:
                       for k, v in sorted(by_pc.items())},
         }
 
-    def report(self) -> dict:
+    def header(self) -> dict:
+        """Every top-level entry of the report but its records."""
+
         plan = self.plan
         return {
             "label": plan.label,
@@ -400,17 +402,90 @@ class CampaignResult:
                 "retired": len(self.golden.pcs),
             },
             "summary": self.summary(),
-            "records": [r.to_dict() for r in self.records],
         }
 
+    def iter_json(self) -> Iterator[str]:
+        """The report in pieces: the entries before the records, one piece
+        per record, then the rest. Joined, they are exactly
+        json.dumps(report, sort_keys=True, indent=2) + "\n": stable key
+        order and no timestamps, so byte-identical across reruns and
+        across any worker split."""
+
+        doc = self.header()
+        doc["records"] = self.records
+        for i, key in enumerate(sorted(doc)):
+            yield f"{',' if i else '{'}\n  {_string(key)}: "
+            if key == "records" and self.records:
+                yield "["
+                for j, r in enumerate(self.records):
+                    yield ("," if j else "") + _record_json(r)
+                yield "\n  ]"
+            else:
+                yield _json(doc[key], "\n  ")
+        yield "\n}\n"
+
+    def iter_csv(self) -> Iterator[str]:
+        """The header line, then one line per record."""
+
+        yield CSV_HEADER + "\n"
+        for r in self.records:
+            yield r.to_csv_row() + "\n"
+
     def to_json(self) -> str:
-        # stable key order, no timestamps: byte-identical across reruns
-        # and across any worker split
-        return json.dumps(self.report(), sort_keys=True, indent=2) + "\n"
+        return "".join(self.iter_json())
 
     def to_csv(self) -> str:
-        return CSV_HEADER + "\n" + "".join(
-            r.to_csv_row() + "\n" for r in self.records)
+        return "".join(self.iter_csv())
+
+
+def _json(value, nl: str) -> str:
+    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it,
+    where `nl` is the line break and indent of the line it starts on.
+    Takes the types a report holds: str, int, float, bool, None, lists,
+    tuples and dicts with str keys."""
+
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + ",".join(f"{inner}{_string(k)}: {_json(v, inner)}"
+                              for k, v in sorted(value.items())) + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join(inner + _json(v, inner)
+                              for v in value) + nl + "]"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+# a record's fields in key order, each with the text before its value
+_RECORD_KEYS = tuple((name, f"\n      {_string(name)}: ")
+                     for name in sorted(_RECORD_FIELDS))
+
+
+def _record_json(r: OutcomeRecord) -> str:
+    """One record as the report's records list holds it, written from its
+    fields without building its dict."""
+
+    return "\n    {" + ",".join(key + _json(getattr(r, name), "\n      ")
+                                for name, key in _RECORD_KEYS) + "\n    }"
 
 
 def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
@@ -422,9 +497,6 @@ def single_injection(program: Program, timing: TimingModel, spec: GlitchSpec,
     """
 
     golden = golden_baseline(program, max_cycles=max_cycles)
-    if spec.cycle >= golden.cycles:
-        raise ValueError(f"glitch cycle {spec.cycle} is not before the end "
-                         f"of the {golden.cycles}-cycle glitch-free run")
     plan = CampaignPlan(program, timing, spec.cycle, spec.cycle + 1,
                         spec.offset_ns, 1.0, 1, spec.policy,
                         spec.illegal_policy, label="inject")

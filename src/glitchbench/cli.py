@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -120,13 +121,15 @@ def _range(text: str, form: str, convert, what: str) -> tuple:
         raise _InputError(f"bad {what} range '{text}'")
 
 
-def _write(path: str | None, text: str) -> None:
-    """`text` to the file at `path`, or to stdout when it is unset or '-'."""
+def _write(path: str | None, pieces: Iterable[str]) -> None:
+    """`pieces` in turn to the file at `path`, or to stdout when it is
+    unset or '-'."""
 
     if path and path != "-":
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(args, text: str, payload) -> None:
@@ -134,7 +137,7 @@ def _emit(args, text: str, payload) -> None:
 
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write(args.output, text)
+    _write(args.output, (text,))
 
 
 # ---------------- subcommands ----------------
@@ -315,9 +318,9 @@ def cmd_campaign(args) -> int:
         illegal_policy=illegal_policy, label=label,
         max_cycles=args.max_cycles)
     result = run_campaign(plan, golden, jobs=args.jobs)
-    _write(args.output, result.to_json())
+    _write(args.output, result.iter_json())
     if args.csv:
-        _write(args.csv, result.to_csv())
+        _write(args.csv, result.iter_csv())
     summary = result.summary()
     lines = [f"{label}: {summary['points']} injections over cycles "
              f"[{plan.cycle_lo}, {plan.cycle_hi}) x {plan.offset_count} "
@@ -335,7 +338,8 @@ def cmd_report(args) -> int:
     rep = json.loads(Path(args.report).read_text())
     try:
         text = _report_text(rep, args.top)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError,
+            ValueError) as exc:
         raise _InputError(f"{args.report} is not a campaign report: {exc}")
     print(text, end="")
     return EXIT_OK

@@ -257,6 +257,13 @@ def test_c6_encoder_round_trips_the_frozen_corpus():
           f"0x00032283 round-trip exactly")
 
 
+# the C7 report.json and records.csv, frozen
+C7_REPORT_SHA256 = \
+    "fc1c15cb9d1e71928f20fa2580d8afeb1f74c386f14aab2320f582a2e33ec437"
+C7_CSV_SHA256 = \
+    "2a3424b59c39c4040170ad7d69b7ecfe14a84ae7311ec1a9320ee4ea123a886c"
+
+
 def test_c7_reports_are_byte_identical_across_worker_counts(tmp_path):
     """A 10033-point sweep produces the same report.json and records.csv
     whether it runs in one process or is split across eight."""
@@ -274,6 +281,9 @@ def test_c7_reports_are_byte_identical_across_worker_counts(tmp_path):
         (tmp_path / "split.json").read_bytes()
     assert solo.to_csv() == split.to_csv()
     digest = hashlib.sha256(j1.encode()).hexdigest()
+    assert digest == C7_REPORT_SHA256
+    assert hashlib.sha256(solo.to_csv().encode()).hexdigest() == \
+        C7_CSV_SHA256
     print(f"ACCEPTANCE #7 PASS - {plan.points} injections, jobs=1 and "
           f"jobs=8 reports byte-identical (sha256 {digest[:16]})")
 

@@ -1,5 +1,6 @@
 """Sweep engine: grid bookkeeping, classification, and determinism."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -369,6 +370,80 @@ def test_report_and_csv_shape(swept):
     assert lines[0] == CSV_HEADER
     assert len(lines) == plan.points + 1
     assert all(line.count(",") == CSV_HEADER.count(",") for line in lines)
+
+
+def _json_dumps_report(result) -> str:
+    """The report through json.dumps: the oracle of the report writer."""
+
+    doc = {**result.header(),
+           "records": [r.to_dict() for r in result.records]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _hand_built_record(index, offset_ns, **fields):
+    base = dict(index=index, cycle=3, offset_idx=index, offset_ns=offset_ns,
+                outcome=NO_EFFECT, effect=NO_EFFECT, mechanisms=(),
+                corrupted=(), root_cause="", root_iclass="", root_pc=None,
+                misclassified=False, cycles=24, halt_cause=None,
+                exit_code=None, output=(), divergence=None)
+    return campaign.OutcomeRecord(**{**base, **fields})
+
+
+# a label with JSON's escapes, a non-ASCII and a non-BMP character
+ODD_LABEL = 'q"uote\\back\nline \u00e9 \U0001f600'
+
+HAND_BUILT_RECORDS = [
+    _hand_built_record(0, 1.0),
+    _hand_built_record(
+        1, 0.1 + 0.2, outcome=HANG, effect=CONTROL_FLOW_DEVIATION,
+        mechanisms=("NOP_REPLACEMENT",),
+        corrupted=("IF_ID.instr", "ID_EX.rs1_val"), root_cause="IF_ID.instr",
+        root_iclass="ALU_IMM", misclassified=True, cycles=96,
+        output=(0, 2**32 - 1, -7),
+        divergence={"seed": None, "retire_mismatches": [
+            {"slot": 0, "golden_pc": 4, "faulty_pc": None},
+            {"slot": 1, "golden_pc": None, "faulty_pc": 8}]}),
+    _hand_built_record(2, 1e-300, outcome=TRAP, effect=SDC_OUTPUT,
+                       corrupted=("EX_WB.result",), root_cause="EX_WB.result",
+                       root_pc=0x1c, halt_cause="ILLEGAL", exit_code=3,
+                       divergence={"seed": {"cycle": 3, "latch": "EX_WB",
+                                            "field": "result", "pc": None},
+                                   "retire_mismatches": []}),
+    _hand_built_record(3, float("nan")),
+    _hand_built_record(4, float("inf")),
+    _hand_built_record(5, -float("inf"), corrupted=("ID_EX.imm",),
+                       root_cause="ID_EX.imm", root_iclass=ODD_LABEL),
+]
+
+
+@pytest.mark.parametrize("records", [[], HAND_BUILT_RECORDS],
+                         ids=["no_records", "records"])
+def test_report_writer_matches_json_dumps_on_hand_built_results(records):
+    """Shapes a campaign cannot reach: escapes and non-ASCII text, no
+    records, a divergence without a seed and with missing pcs, None
+    root_pc/exit_code/halt_cause, empty output and mechanisms, and the
+    float spellings NaN and Infinity."""
+
+    prog = workload_program("mb_system")
+    plan = CampaignPlan(prog, TIMING, 3, 4, 1.0, 0.1, 6, label=ODD_LABEL)
+    golden = dataclasses.replace(golden_baseline(prog), halt_cause=None,
+                                 exit_code=None, output=())
+    result = campaign.CampaignResult(plan, golden, list(records))
+    assert result.to_json() == _json_dumps_report(result)
+
+
+@pytest.mark.parametrize("policy, illegal_policy", POLICY_PAIRS)
+def test_report_writer_matches_json_dumps_on_mb_system(policy,
+                                                       illegal_policy):
+    plan, golden = build_plan(workload_program("mb_system"), TIMING,
+                              policy=policy, illegal_policy=illegal_policy,
+                              label="mb_system")
+    result = run_campaign(plan, golden)
+    pieces = list(result.iter_json())
+    assert "".join(pieces) == result.to_json() == _json_dumps_report(result)
+    # each record is a piece of its own
+    per_piece = [p.count('"index": ') for p in pieces if '"index": ' in p]
+    assert per_piece == [1] * plan.points
 
 
 def test_policy_changes_the_mix():

@@ -181,8 +181,20 @@ def test_glitch_cycles_and_offsets_must_lie_in_the_run(argv, code, tmp_path,
     argv = [str(tmp_path / "rep.json") if a == "OUT" else a for a in argv]
     assert run_cli(*argv) == code
     err = capsys.readouterr().err
-    if code == 2:
+    if code == 2 and argv[0] == "inject":
+        assert (f"cannot glitch cycle {argv[4]}: the pipeline is halted "
+                f"at cycle 24") in err, err
+    elif code == 2:
         assert ("glitch-free run" in err or "must be finite" in err), err
+
+
+def test_inject_past_the_run_gives_the_pipeline_refusal():
+    code, err = cli_subprocess("inject", "--workload", "mb_system",
+                               "--cycle", "100000", "--offset", "5.0")
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err == ("error: cannot glitch cycle 100000: the pipeline is "
+                   "halted at cycle 24\n")
 
 
 MALFORMED_REPORTS = {
@@ -191,6 +203,8 @@ MALFORMED_REPORTS = {
     "grid_not_an_object": lambda rep: {"label": "x", "grid": [],
                                        "summary": {}},
     "zero_points": lambda rep: {**rep, "grid": {**rep["grid"], "points": 0}},
+    "float_count": lambda rep: {**rep, "summary": {
+        **rep["summary"], "outcomes": {"NO_EFFECT": 1.5}}},
 }
 
 
@@ -403,6 +417,28 @@ def test_campaign_cli_matches_library(tmp_path, capsys):
     assert run_cli("report", str(rep), "--top", "2") == 0
     out = capsys.readouterr().out
     assert "mb_system" in out and "outcomes:" in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_campaign_files_and_stdout_hold_the_library_bytes(jobs, tmp_path,
+                                                          capsys):
+    """The report and rows the command writes, to files or to stdout, are
+    to_json() and to_csv() byte for byte."""
+
+    grid = ("--workload", "mb_system", "--cycles", "2:12",
+            "--offset-range", "3.0:8.0:1.0", "--jobs", jobs)
+    rep, rows = tmp_path / "rep.json", tmp_path / "rows.csv"
+    assert run_cli("campaign", *grid, "-o", str(rep), "--csv", str(rows)) == 0
+    capsys.readouterr()
+    assert run_cli("campaign", *grid, "-o", "-") == 0
+    stdout = capsys.readouterr().out
+    plan, golden = build_plan(workload_program("mb_system"),
+                              reference_timing(), cycles=(2, 12),
+                              offsets=(3.0, 8.0, 1.0), label="mb_system")
+    expect = run_campaign(plan, golden)
+    assert rep.read_bytes() == expect.to_json().encode()
+    assert rows.read_bytes() == expect.to_csv().encode()
+    assert stdout == expect.to_json()
 
 
 @pytest.mark.parametrize("flag", ["-o", "--csv"])
