@@ -33,7 +33,10 @@ ABI_NAMES = {
 
 ADDRESS_SPACE = 1 << 32  # every address is below this
 
-_LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_SYMBOL = r"[A-Za-z_.$][A-Za-z0-9_.$]*"  # a label or .equ name
+_LABEL_RE = re.compile(rf"^{_SYMBOL}$")
+_LABEL_DEF_RE = re.compile(rf"^\s*({_SYMBOL})\s*:")
+_OFFSET_RE = re.compile(rf"^({_SYMBOL})\s*([+-])\s*(\S+)$")
 _MEM_RE = re.compile(r"^(.*)\(\s*([A-Za-z0-9]+)\s*\)$")
 
 
@@ -167,7 +170,7 @@ class Assembler:
 
             # leading labels, any number of them: "a: b: addi ..." defines both
             while True:
-                m = re.match(r"^\s*([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:", text)
+                m = _LABEL_DEF_RE.match(text)
                 if not m:
                     break
                 name = m.group(1)
@@ -280,7 +283,7 @@ class Assembler:
         val = _parse_int(expr)
         if val is not None:
             return val
-        m = re.match(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*([+-])\s*(\S+)$", expr)
+        m = _OFFSET_RE.match(expr)
         if m:
             base = self._eval(m.group(1), lineno, col, allow_fwd)
             off = _parse_int(m.group(3))

@@ -157,12 +157,10 @@ def build_plan(program: Program, timing: TimingModel, *,
     if offsets is None:
         t = timing
         offsets = (t.min_glitch_ns, t.clock_period_ns - 2 * t.setup_ns, 0.5)
-    off_lo, off_step, off_count = offset_grid(*offsets)
-    for idx in (0, off_count - 1):
-        timing.check_offset(off_lo + idx * off_step)
-    plan = CampaignPlan(program, timing, lo_c, hi_c,
-                        off_lo, off_step, off_count,
+    plan = CampaignPlan(program, timing, lo_c, hi_c, *offset_grid(*offsets),
                         policy, illegal_policy, label=label)
+    for idx in (0, plan.offset_count - 1):
+        timing.check_offset(plan.offset(idx))
     return plan, golden
 
 

@@ -150,6 +150,49 @@ def by_funct3(opcode: int, funct7: int | None = None) -> dict[int, str]:
             if op == opcode and f7 == funct7}
 
 
+# format -> (the register fields it holds, the immediate's slices as (word
+# bit, width, immediate bit), whether the immediate is signed, the
+# immediates encode accepts as (lo, hi, alignment, noun, what a misaligned
+# one is called)). Every register field is 5 bits wide, at the same place in
+# every format. ecall and ebreak hold nothing: ebreak is ecall with bit 20 set.
+_REG_AT = {"rd": 7, "rs1": 15, "rs2": 20}
+_LAYOUT = {
+    "R": (("rd", "rs1", "rs2"), (), False, None),
+    "I": (("rd", "rs1"), ((20, 12, 0),), True,
+          (-2048, 2047, 1, "immediate", None)),
+    "SH": (("rd", "rs1"), ((20, 5, 0),), False,
+           (0, 31, 1, "shift amount", None)),
+    "S": (("rs1", "rs2"), ((7, 5, 0), (25, 7, 5)), True,
+          (-2048, 2047, 1, "immediate", None)),
+    "B": (("rs1", "rs2"), ((8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)),
+          True, (-4096, 4094, 2, "offset", "must be even")),
+    "U": (("rd",), ((12, 20, 12),), False,
+          (-0x80000000, 0xFFFFF000, 0x1000, "immediate", "out of range")),
+    "J": (("rd",), ((21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)), True,
+          (-(1 << 20), (1 << 20) - 2, 2, "offset", "must be even")),
+    "F": (("rd", "rs1"), ((20, 12, 0),), False,
+          (0, 0xFFF, 1, "immediate", None)),
+    "E": ((), (), False, None),
+}
+
+
+def _row(mnemonic: str, fmt: str, opcode: int, f3: int | None,
+         f7: int | None) -> tuple:
+    """One mnemonic's layout: (fixed bits, fields as (index into rd, rs1,
+    rs2, imm; word bit; mask; operand bit), sign bit or 0, accepted imms)."""
+
+    regs, slices, signed, accepts = _LAYOUT[fmt]
+    fields = [(i, at, 0x1F, 0)
+              for i, (r, at) in enumerate(_REG_AT.items()) if r in regs]
+    fields += [(3, at, (1 << width) - 1, bit) for at, width, bit in slices]
+    top = max((bit + width for _at, width, bit in slices), default=0)
+    fixed = opcode | (f3 or 0) << 12 | (f7 or 0) << 25
+    return (fixed | (mnemonic == "ebreak") << 20, tuple(fields),
+            1 << (top - 1) if signed else 0, accepts)
+
+
+_ROWS = {m: _row(m, *enc) for m, enc in ENCODINGS.items()}
+
 # decoder key -> mnemonic: (opcode, funct3, funct7) for R and shift forms,
 # (opcode, funct3) for the other funct3 forms, the opcode alone for U and J.
 # ecall/ebreak differ only in the immediate and are decoded by hand.
@@ -160,58 +203,32 @@ for _m, (_fmt, _op, _f3, _f7) in ENCODINGS.items():
                 else (_op, _f3, _f7)] = _m
 
 
-def _sext(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
-
-
 def decode(word: int) -> Instruction | Illegal:
     """Decode a 32-bit word; unsupported encodings come back as Illegal."""
 
     word &= 0xFFFFFFFF
     opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
-    funct3 = (word >> 12) & 0x07
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-    funct7 = (word >> 25) & 0x7F
-
-    if opcode == OP_SYSTEM:
-        if funct3 or rd or rs1 or word >> 21:
-            return Illegal(word)
-        if word >> 20:
+    if opcode == OP_SYSTEM:  # ecall and ebreak are their fixed bits alone
+        if word == _ROWS["ecall"][0]:
+            return Instruction("ecall", raw=word)
+        if word == _ROWS["ebreak"][0]:
             return Instruction("ebreak", imm=1, raw=word)
-        return Instruction("ecall", raw=word)
+        return Illegal(word)
 
-    m = (_BY_KEY.get((opcode, funct3, funct7))
+    funct3 = (word >> 12) & 0x07
+    m = (_BY_KEY.get((opcode, funct3, word >> 25))
          or _BY_KEY.get((opcode, funct3)) or _BY_KEY.get(opcode))
     if m is None:
         return Illegal(word)
-    fmt = ENCODINGS[m][0]
-    if fmt == "R":
-        return Instruction(m, rd=rd, rs1=rs1, rs2=rs2, raw=word)
-    if fmt == "SH":
-        return Instruction(m, rd=rd, rs1=rs1, imm=rs2, raw=word)
-    if fmt == "I":
-        return Instruction(m, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12),
-                           raw=word)
-    if fmt == "S":
-        imm = _sext((funct7 << 5) | rd, 12)
-        return Instruction(m, rs1=rs1, rs2=rs2, imm=imm, raw=word)
-    if fmt == "B":
-        imm = ((word >> 31) << 12 | ((word >> 7) & 1) << 11
-               | ((word >> 25) & 0x3F) << 5 | ((word >> 8) & 0xF) << 1)
-        return Instruction(m, rs1=rs1, rs2=rs2, imm=_sext(imm, 13), raw=word)
-    if fmt == "U":
-        return Instruction(m, rd=rd, imm=word & 0xFFFFF000, raw=word)
-    if fmt == "J":
-        imm = ((word >> 31) << 20 | ((word >> 12) & 0xFF) << 12
-               | ((word >> 20) & 1) << 11 | ((word >> 21) & 0x3FF) << 1)
-        return Instruction(m, rd=rd, imm=_sext(imm, 21), raw=word)
+    _fixed, fields, sign, _accepts = _ROWS[m]
+    ops = [0, 0, 0, 0]
+    for i, at, mask, bit in fields:
+        ops[i] |= (word >> at & mask) << bit
+    rd, rs1, rs2, imm = ops
     # fence: hint forms with nonzero rd/rs1 are reserved; treat as unsupported
-    if rd or rs1:
+    if m == "fence" and (rd or rs1):
         return Illegal(word)
-    return Instruction("fence", imm=(word >> 20) & 0xFFF, raw=word)
+    return Instruction(m, rd, rs1, rs2, (imm ^ sign) - sign, word)
 
 
 def _check_reg(name: str, value: int) -> None:
@@ -222,65 +239,23 @@ def _check_reg(name: str, value: int) -> None:
 def encode(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
     """Encode operands into a 32-bit word. Raises ValueError on bad operands."""
 
-    enc = ENCODINGS.get(mnemonic)
-    if enc is None:
+    row = _ROWS.get(mnemonic)
+    if row is None:
         raise ValueError(f"unknown mnemonic: {mnemonic}")
-    fmt, opcode, f3, f7 = enc
     _check_reg("rd", rd)
     _check_reg("rs1", rs1)
     _check_reg("rs2", rs2)
-
-    if fmt == "R":
-        return f7 << 25 | rs2 << 20 | rs1 << 15 | f3 << 12 | rd << 7 | opcode
-
-    if fmt == "I":
-        if not -2048 <= imm <= 2047:
-            raise ValueError(f"{mnemonic} immediate out of range: {imm}")
-        return (imm & 0xFFF) << 20 | rs1 << 15 | f3 << 12 | rd << 7 | opcode
-
-    if fmt == "SH":
-        if not 0 <= imm <= 31:
-            raise ValueError(f"{mnemonic} shift amount out of range: {imm}")
-        return f7 << 25 | imm << 20 | rs1 << 15 | f3 << 12 | rd << 7 | opcode
-
-    if fmt == "S":
-        if not -2048 <= imm <= 2047:
-            raise ValueError(f"{mnemonic} immediate out of range: {imm}")
-        return (((imm >> 5) & 0x7F) << 25 | rs2 << 20 | rs1 << 15
-                | f3 << 12 | (imm & 0x1F) << 7 | opcode)
-
-    if fmt == "B":
-        if not -4096 <= imm <= 4094:
-            raise ValueError(f"{mnemonic} offset out of range: {imm}")
-        if imm & 1:
-            raise ValueError(f"{mnemonic} offset must be even: {imm}")
-        return (((imm >> 12) & 1) << 31 | ((imm >> 5) & 0x3F) << 25
-                | rs2 << 20 | rs1 << 15 | f3 << 12
-                | ((imm >> 1) & 0xF) << 8 | ((imm >> 11) & 1) << 7 | opcode)
-
-    if fmt == "U":
-        # imm carries the pre-shifted upper-immediate value
-        if imm & 0xFFF or not -0x80000000 <= imm <= 0xFFFFF000:
-            raise ValueError(f"{mnemonic} immediate out of range: {imm}")
-        return ((imm >> 12) & 0xFFFFF) << 12 | rd << 7 | opcode
-
-    if fmt == "J":
-        if not -(1 << 20) <= imm <= (1 << 20) - 2:
-            raise ValueError(f"{mnemonic} offset out of range: {imm}")
-        if imm & 1:
-            raise ValueError(f"{mnemonic} offset must be even: {imm}")
-        return (((imm >> 20) & 1) << 31 | ((imm >> 1) & 0x3FF) << 21
-                | ((imm >> 11) & 1) << 20 | ((imm >> 12) & 0xFF) << 12
-                | rd << 7 | opcode)
-
-    if fmt == "F":
-        return (imm & 0xFFF) << 20 | rs1 << 15 | f3 << 12 | rd << 7 | opcode
-
-    if fmt == "E":
-        code = 1 if mnemonic == "ebreak" else 0
-        return code << 20 | opcode
-
-    raise AssertionError(f"unhandled format {fmt}")
+    word, fields, _sign, accepts = row
+    if accepts:
+        lo, hi, align, noun, misaligned = accepts
+        if not lo <= imm <= hi:
+            raise ValueError(f"{mnemonic} {noun} out of range: {imm}")
+        if imm % align:
+            raise ValueError(f"{mnemonic} {noun} {misaligned}: {imm}")
+    ops = (rd, rs1, rs2, imm)
+    for i, at, mask, bit in fields:
+        word |= (ops[i] >> bit & mask) << at
+    return word
 
 
 def reencode(instr: Instruction) -> int:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from glitchbench import isa
+from glitchbench import asm, isa
 from rv32_corpus import CORPUS
 
 
@@ -168,3 +168,59 @@ def test_decode_digest_is_frozen():
     assert len(words) == 274_432
     text = "\n".join(repr(isa.decode(w)) for w in words)
     assert hashlib.sha256(text.encode()).hexdigest() == DECODE_DIGEST
+
+
+# (lo, hi, alignment) of the immediates encode accepts: I and S, SH, B, U,
+# J and fence
+_IMM_LIMITS = [(-2048, 2047, 1), (0, 31, 1), (-4096, 4094, 2),
+               (-(1 << 31), 0xFFFFF000, 0x1000), (-(1 << 20), (1 << 20) - 2, 2),
+               (0, 0xFFF, 1)]
+ENCODE_IMMS = sorted(
+    {0, 1, -1, 4096, -4096, 1 << 31, -(1 << 31), 1 << 32, -(1 << 32)}
+    | {bound + sign * step for lo, hi, align in _IMM_LIMITS
+       for bound in (lo, hi) for step in (1, align) for sign in (-1, 0, 1)})
+ENCODE_REGS = [(0, 0, 0), (31, 17, 5), (32, 0, 0), (0, -1, 0), (0, 0, 33)]
+
+# sha256 of the word or ValueError text of every mnemonic over ENCODE_IMMS x
+# ENCODE_REGS (fence only over its in-range immediates), frozen before the
+# encoder was rewritten to be table-driven
+ENCODE_DIGEST = \
+    "0d641a1445570253dcfb7b51932d5ac25a6b1579f206d5655f3c1219e3a81d59"
+
+
+def _encode_results():
+    for m in [*sorted(isa.ENCODINGS), "nop"]:
+        imms = [i for i in ENCODE_IMMS if m != "fence" or 0 <= i <= 0xFFF]
+        for (rd, rs1, rs2), imm in itertools.product(ENCODE_REGS, imms):
+            try:
+                got = f"0x{isa.encode(m, rd, rs1, rs2, imm):08x}"
+            except ValueError as e:
+                got = f"ValueError: {e}"
+            yield f"{m} {rd} {rs1} {rs2} {imm}: {got}"
+
+
+def test_encode_digest_is_frozen():
+    # pins every word and every error text, not just that one is raised
+    lines = list(_encode_results())
+    assert len(lines) == 10_620
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENCODE_DIGEST
+
+
+def test_fence_immediates_are_range_checked():
+    for imm in (-1, 0x1000, 0x1FFF):
+        with pytest.raises(ValueError) as err:
+            isa.encode("fence", imm=imm)
+        assert str(err.value) == f"fence immediate out of range: {imm}"
+    for src, imm in (("fence", 0x0FF), ("fence 0x0ff", 0x0FF),
+                     ("fence 0xfff", 0xFFF), ("fence 0", 0)):
+        data = asm.assemble(src + "\n").segments[0].data
+        word = int.from_bytes(data, "little")
+        got = isa.decode(word)
+        assert isinstance(got, isa.Instruction)
+        assert (got.mnemonic, got.imm) == ("fence", imm)
+        assert isa.reencode(got) == word
+    with pytest.raises(asm.AsmError) as err:
+        asm.assemble("nop\n  fence 0x1000\n")
+    assert err.value.message == "fence immediate out of range: 4096"
+    assert (err.value.span.line, err.value.span.column) == (2, 3)
