@@ -1,10 +1,18 @@
-"""Two-pass RV32IM assembler and the binary image container.
+r"""Two-pass RV32IM assembler and the binary image container.
 
-Source grammar is one statement per line: an optional `label:` prefix, then
-an instruction, a pseudo instruction (nop / li / mv / j / ret), or one of
-the directives .org / .word / .byte / .ascii / .equ / .illegal. Comments
-start with '#'. `li` always expands to a lui+addi pair so instruction
-addresses never depend on the immediate's value.
+Source grammar is one statement per line: any number of `label:` prefixes,
+then a head and its operands. The head is an instruction, a pseudo
+instruction (nop / li / mv / j / ret), or one of the directives .org /
+.word / .byte / .ascii / .equ / .illegal; whitespace outside a string ends
+it. Operands are separated by the commas outside parentheses and strings.
+A string is double-quoted, and a backslash escapes the next character (\n,
+\t, \0, \\ and \" as in C; any other character stands for itself). A '#'
+outside a string starts a comment. `li` always expands to a lui+addi pair
+so instruction addresses never depend on the immediate's value.
+
+A diagnostic about one operand points at that operand, or at the register or
+symbol inside it that it names; a diagnostic about the statement points at
+its head. Of several bad operands, the leftmost is reported.
 
 Assembled programs serialize to a JSON manifest naming raw little-endian
 segment files, each pinned by length and sha256.
@@ -15,10 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import isa
 
@@ -35,9 +43,20 @@ ADDRESS_SPACE = 1 << 32  # every address is below this
 
 _SYMBOL = r"[A-Za-z_.$][A-Za-z0-9_.$]*"  # a label or .equ name
 _LABEL_RE = re.compile(rf"^{_SYMBOL}$")
-_LABEL_DEF_RE = re.compile(rf"^\s*({_SYMBOL})\s*:")
+# a string runs to its unescaped closing quote, or to the end of the line
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"?'
+# the labels, the head and the operands; whitespace ends the head and '#'
+# the operands, both outside a string
+_LINE_RE = re.compile(rf'((?:\s*{_SYMBOL}\s*:)*)'
+                      rf'\s*([^\s"#]*(?:{_STRING}[^\s"#]*)*)'
+                      rf'([^"#]*(?:{_STRING}[^"#]*)*)')
+_LABEL_DEF_RE = re.compile(rf"({_SYMBOL})\s*:")
+_NESTING_RE = re.compile(rf"{_STRING}|[(),]")
 _OFFSET_RE = re.compile(rf"^({_SYMBOL})\s*([+-])\s*(\S+)$")
-_MEM_RE = re.compile(r"^(.*)\(\s*([A-Za-z0-9]+)\s*\)$")
+_MEM_RE = re.compile(r"^(.*?)\s*\(\s*([A-Za-z0-9]+)\s*\)$")
+_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, '"': 34}
+# data directive -> (bytes per value, what an out-of-range value is called)
+_DATA = {".word": (4, "word value"), ".byte": (1, ".byte value")}
 
 
 @dataclass(frozen=True)
@@ -52,6 +71,61 @@ class AsmError(Exception):
         super().__init__(f"line {span.line}, col {span.column}: {message}")
         self.message = message
         self.span = span
+
+
+class _Token(NamedTuple):
+    """A piece of one source line without its surrounding whitespace."""
+
+    text: str
+    line: int  # 1-based
+    col: int  # 1-based
+
+    def part(self, m: re.Match, group: int) -> _Token:
+        """`group` of a match `m` against this token's text."""
+
+        return _Token(m.group(group), self.line, self.col + m.start(group))
+
+
+def _fail(message: str, token: _Token):
+    raise AsmError(message, SourceSpan(token.line, token.col, len(token.text)))
+
+
+def _statement(raw: str, line: int) \
+        -> tuple[list[_Token], _Token | None, list[_Token]]:
+    """Read one source line once: its labels, its head (None if the line
+    holds no statement) and its operands."""
+
+    m = _LINE_RE.match(raw)
+    labels = [_Token(d.group(1), line, d.start(1) + 1)
+              for d in _LABEL_DEF_RE.finditer(raw, 0, m.end(1))] \
+        if m.end(1) else []
+    head = m.group(2)
+    if not head:
+        return labels, None, []
+    at, rest = m.start(3), m.group(3)
+    if '"' in rest or "(" in rest or ")" in rest:
+        # only the commas outside strings and parentheses split operands
+        parts, depth, cut = [], 0, 0
+        for p in _NESTING_RE.finditer(rest):
+            if p.group() == "(":
+                depth += 1
+            elif p.group() == ")":
+                depth -= 1
+            elif p.group() == "," and not depth:
+                parts.append(rest[cut:p.start()])
+                cut = p.end()
+        parts.append(rest[cut:])
+    else:  # nothing nests: every comma splits
+        parts = rest.split(",")
+    operands = []
+    for part in parts:
+        body = part.lstrip()
+        operands.append(_Token(body.rstrip(), line,
+                               at + len(part) - len(body) + 1))
+        at += len(part) + 1
+    if len(operands) == 1 and not operands[0].text:
+        operands = []
+    return labels, _Token(head, line, m.start(2) + 1), operands
 
 
 class ImageError(Exception):
@@ -103,6 +177,17 @@ def _parse_int(text: str) -> int | None:
         return None
 
 
+def _reg(token: _Token) -> int:
+    name = token.text.lower()
+    if name in ABI_NAMES:
+        return ABI_NAMES[name]
+    if name.startswith("x"):
+        n = _parse_int(name[1:])
+        if n is not None and 0 <= n <= 31:
+            return n
+    _fail(f"bad register '{token.text}'", token)
+
+
 # pseudo instruction -> (instruction, written operand kinds, fixed fields)
 _PSEUDO = {
     "nop": ("addi", (), {}),
@@ -112,258 +197,189 @@ _PSEUDO = {
 }
 
 
+def _parse_string(token: _Token) -> bytes:
+    text = token.text
+    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
+        _fail(".ascii needs a double-quoted string", token)
+    out, chars = bytearray(), iter(text[1:-1])
+    for ch in chars:
+        if ch == "\\":
+            ch = next(chars, None)
+            if ch is None:
+                _fail("dangling escape in string", token)
+            out.append(_ESCAPES.get(ch, ord(ch)))
+        else:
+            out.append(ord(ch))
+    return bytes(out)
+
+
+def _need_aligned(loc: int, head: _Token):
+    if loc & 3:
+        _fail(f"instruction at unaligned address 0x{loc:x}", head)
+
+
 class Assembler:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.symbols: dict[str, int] = {}
-        # (address, line, column, producer of the bytes to emit there)
-        self.items: list[tuple[int, int, int, Callable[[], bytes]]] = []
+        # (address, head of the statement, producer of the bytes to emit)
+        self.items: list[tuple[int, _Token, partial[bytes]]] = []
         self.entry: int | None = None
         self.memory: dict[int, int] = {}  # addr -> byte
         self.seg_starts: set[int] = set()
 
     # ---------------- pass 1: layout ----------------
 
-    def _err(self, msg: str, line: int, col: int = 1, length: int = 1):
-        raise AsmError(msg, SourceSpan(line, col, length))
-
-    def _strip_comment(self, raw: str) -> str:
-        out = []
-        in_str = False
-        for ch in raw:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "#" and not in_str:
-                break
-            out.append(ch)
-        return "".join(out)
-
-    def _split_operands(self, rest: str) -> tuple[str, ...]:
-        rest = rest.strip()
-        if not rest:
-            return ()
-        depth = 0
-        parts, cur = [], []
-        in_str = False
-        for ch in rest:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "," and depth == 0 and not in_str:
-                parts.append("".join(cur).strip())
-                cur = []
-                continue
-            if ch == "(" and not in_str:
-                depth += 1
-            elif ch == ")" and not in_str:
-                depth -= 1
-            cur.append(ch)
-        parts.append("".join(cur).strip())
-        return tuple(parts)
-
     def layout(self):
         loc = 0
+
+        def item(size, produce, *args):  # at loc, for the statement at head
+            nonlocal loc
+            if loc + size > ADDRESS_SPACE:
+                _fail(f"{size} byte(s) at 0x{loc:x} run past the "
+                      f"32-bit address space", head)
+            self.items.append((loc, head, partial(produce, *args)))
+            loc += size
+
         for lineno, raw in enumerate(self.lines, start=1):
-            text = self._strip_comment(raw)
-            stripped = text.strip()
-            if not stripped:
+            labels, head, operands = _statement(raw, lineno)
+            # "a: b: addi ..." defines both labels
+            for label in labels:
+                if label.text in self.symbols:
+                    _fail(f"duplicate label '{label.text}'", label)
+                self.symbols[label.text] = loc
+            if head is None:
                 continue
+            name = head.text.lower()
 
-            # leading labels, any number of them: "a: b: addi ..." defines both
-            while True:
-                m = _LABEL_DEF_RE.match(text)
-                if not m:
-                    break
-                name = m.group(1)
-                if name in self.symbols:
-                    self._err(f"duplicate label '{name}'", lineno,
-                              text.index(name) + 1, len(name))
-                self.symbols[name] = loc
-                text = text[m.end():]
-            stripped = text.strip()
-            if not stripped:
-                continue
-
-            col = raw.find(stripped.split()[0]) + 1
-            head, _, rest = stripped.partition(" ")
-            head = head.lower()
-            operands = self._split_operands(rest)
-
-            def item(size, produce, *args):
-                nonlocal loc
-                if loc + size > ADDRESS_SPACE:
-                    self._err(f"{size} byte(s) at 0x{loc:x} run past the "
-                              f"32-bit address space", lineno, col)
-                self.items.append((loc, lineno, col,
-                                   partial(produce, *args, lineno, col)))
-                loc += size
-
-            if head == ".org":
+            if name == ".org":
                 if len(operands) != 1:
-                    self._err(".org takes one address", lineno, col)
-                val = self._eval(operands[0], lineno, col, allow_fwd=False)
-                if not 0 <= val < ADDRESS_SPACE:
-                    self._err(f".org address {val:#x} outside the 32-bit "
-                              f"address space", lineno, col)
-                loc = val
+                    _fail(".org takes one address", head)
+                loc = self._eval(operands[0], allow_fwd=False)
+                if not 0 <= loc < ADDRESS_SPACE:
+                    _fail(f".org address {loc:#x} outside the 32-bit "
+                          f"address space", operands[0])
                 self.seg_starts.add(loc)
-            elif head == ".equ":
+            elif name == ".equ":
                 if len(operands) != 2:
-                    self._err(".equ takes name, value", lineno, col)
-                name = operands[0]
-                if not _LABEL_RE.match(name):
-                    self._err(f"bad symbol name '{name}'", lineno, col)
-                if name in self.symbols:
-                    self._err(f"duplicate symbol '{name}'", lineno, col)
-                self.symbols[name] = self._eval(operands[1], lineno, col,
-                                                allow_fwd=False)
-            elif head == ".word":
+                    _fail(".equ takes name, value", head)
+                symbol, value = operands
+                if not _LABEL_RE.match(symbol.text):
+                    _fail(f"bad symbol name '{symbol.text}'", symbol)
+                if symbol.text in self.symbols:
+                    _fail(f"duplicate symbol '{symbol.text}'", symbol)
+                self.symbols[symbol.text] = self._eval(value, allow_fwd=False)
+            elif name in _DATA:
+                size, what = _DATA[name]
                 if not operands:
-                    self._err(".word needs at least one value", lineno, col)
+                    _fail(f"{name} needs at least one value", head)
                 for op in operands:
-                    item(4, self._word, op)
-            elif head == ".byte":
-                if not operands:
-                    self._err(".byte needs at least one value", lineno, col)
-                for op in operands:
-                    item(1, self._byte, op)
-            elif head == ".ascii":
-                s = self._parse_string(rest.strip(), lineno, col)
-                item(len(s), lambda data, _ln, _col: data, s)
-            elif head == ".illegal":  # an aligned one-value .word
+                    item(size, self._data, op, size, what)
+            elif name == ".ascii":
                 if len(operands) != 1:
-                    self._err(".illegal takes one word", lineno, col)
-                self._need_aligned(loc, lineno, col)
-                item(4, self._word, operands[0])
-            elif head.startswith("."):
-                self._err(f"unknown directive '{head}'", lineno, col, len(head))
+                    _fail(".ascii needs a double-quoted string", head)
+                data = _parse_string(operands[0])
+                item(len(data), bytes, data)
+            elif name == ".illegal":  # an aligned one-value .word
+                if len(operands) != 1:
+                    _fail(".illegal takes one word", head)
+                _need_aligned(loc, head)
+                item(4, self._data, operands[0], *_DATA[".word"])
+            elif name.startswith("."):
+                _fail(f"unknown directive '{name}'", head)
             else:
-                self._need_aligned(loc, lineno, col)
+                _need_aligned(loc, head)
                 if self.entry is None:
                     self.entry = loc
-                if head == "li":
+                if name == "li":
                     if len(operands) != 2:
-                        self._err("li takes rd, imm", lineno, col)
+                        _fail("li takes rd, imm", head)
                     item(8, self._li, *operands)
-                elif head in isa.OPERANDS or head in _PSEUDO:
-                    item(4, self._instr, head, operands, loc)
+                elif name in isa.OPERANDS or name in _PSEUDO:
+                    item(4, self._instr, name, head, operands, loc)
                 else:
-                    self._err(f"unknown mnemonic '{head}'", lineno, col,
-                              len(head))
+                    _fail(f"unknown mnemonic '{name}'", head)
         return self
-
-    def _need_aligned(self, loc: int, lineno: int, col: int):
-        if loc & 3:
-            self._err(f"instruction at unaligned address 0x{loc:x}", lineno, col)
-
-    def _parse_string(self, text: str, lineno: int, col: int) -> bytes:
-        if len(text) < 2 or text[0] != '"' or text[-1] != '"':
-            self._err('.ascii needs a double-quoted string', lineno, col)
-        body = text[1:-1]
-        out = bytearray()
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch == "\\":
-                i += 1
-                if i >= len(body):
-                    self._err("dangling escape in string", lineno, col)
-                esc = body[i]
-                out.append({"n": 10, "t": 9, "0": 0, "\\": 92, '"': 34}.get(esc, ord(esc)))
-            else:
-                out.append(ord(ch))
-            i += 1
-        return bytes(out)
 
     # ---------------- pass 2: encode ----------------
 
-    def _eval(self, expr: str, lineno: int, col: int, allow_fwd: bool = True):
+    def _eval(self, token: _Token, allow_fwd: bool = True) -> int:
         """label, integer, or label+/-constant."""
 
-        expr = expr.strip()
+        expr = token.text
         val = _parse_int(expr)
         if val is not None:
             return val
         m = _OFFSET_RE.match(expr)
         if m:
-            base = self._eval(m.group(1), lineno, col, allow_fwd)
+            base = self._eval(token.part(m, 1), allow_fwd)
             off = _parse_int(m.group(3))
             if off is None:
-                self._err(f"bad expression '{expr}'", lineno, col, len(expr))
+                _fail(f"bad expression '{expr}'", token)
             return base + off if m.group(2) == "+" else base - off
         if _LABEL_RE.match(expr):
             if expr in self.symbols:
                 return self.symbols[expr]
             if not allow_fwd:
-                self._err(f"symbol '{expr}' not yet defined", lineno, col, len(expr))
-            self._err(f"unresolved symbol '{expr}'", lineno, col, len(expr))
-        self._err(f"bad expression '{expr}'", lineno, col, len(expr))
+                _fail(f"symbol '{expr}' not yet defined", token)
+            _fail(f"unresolved symbol '{expr}'", token)
+        _fail(f"bad expression '{expr}'", token)
 
-    def _reg(self, text: str, lineno: int, col: int) -> int:
-        name = text.strip().lower()
-        if name in ABI_NAMES:
-            return ABI_NAMES[name]
-        if name.startswith("x"):
-            n = _parse_int(name[1:])
-            if n is not None and 0 <= n <= 31:
-                return n
-        self._err(f"bad register '{text}'", lineno, col, len(text))
-
-    def _operand(self, kind: str, text: str, mnem: str, pc: int,
-                 ln: int, col: int) -> dict[str, int]:
+    def _operand(self, kind: str, token: _Token, mnem: str,
+                 pc: int) -> dict[str, int]:
         """The encoder fields one written operand of `kind` sets."""
 
         if kind == "mem":
-            m = _MEM_RE.match(text.strip())
+            m = _MEM_RE.match(token.text)
             if not m:
-                self._err(f"expected imm(reg), got '{text}'", ln, col, len(text))
-            off = self._eval(m.group(1) or "0", ln, col)
-            return {"imm": off, "rs1": self._reg(m.group(2), ln, col)}
+                _fail(f"expected imm(reg), got '{token.text}'", token)
+            off = self._eval(token.part(m, 1)) if m.group(1) else 0
+            return {"imm": off, "rs1": _reg(token.part(m, 2))}
         if kind == "imm":
-            return {"imm": self._eval(text, ln, col)}
+            return {"imm": self._eval(token)}
         if kind == "target":
             # bare integers are pc-relative offsets, symbols are addresses
-            imm = _parse_int(text.strip())
+            imm = _parse_int(token.text)
             if imm is None:
-                imm = self._eval(text, ln, col) - pc
+                imm = self._eval(token) - pc
             if imm & 1 and isa.ENCODINGS[mnem][0] == "B":
-                self._err(f"misaligned branch target (offset {imm})", ln, col)
+                _fail(f"misaligned branch target (offset {imm})", token)
             return {"imm": imm}
         if kind == "upper":
-            hi = self._eval(text, ln, col)
+            hi = self._eval(token)
             if not -0x80000 <= hi <= 0xFFFFF:
-                self._err(f"{mnem} immediate out of range: {hi}", ln, col)
+                _fail(f"{mnem} immediate out of range: {hi}", token)
             value = (hi & 0xFFFFF) << 12
             return {"imm": value - (1 << 32) if value >= 1 << 31 else value}
-        return {kind: self._reg(text, ln, col)}
+        return {kind: _reg(token)}
 
-    def _instr(self, mnem: str, ops: tuple[str, ...], pc: int,
-               ln: int, col: int) -> bytes:
+    def _instr(self, mnem: str, head: _Token, ops: list[_Token],
+               pc: int) -> bytes:
         real, kinds, fields = _PSEUDO.get(mnem) or (mnem, isa.OPERANDS[mnem], {})
         if mnem == "jal" and len(ops) == 1:  # jal target: rd is ra
             kinds, fields = ("target",), {"rd": 1}
         if mnem == "fence" and not ops:
             kinds, fields = (), {"imm": 0x0FF}
         if len(ops) != len(kinds):
-            self._err(f"{mnem} takes {len(kinds)} operand(s)", ln, col)
-        written = list(zip(kinds, ops))
-        # a memory operand, upper immediate or branch target is read before
-        # the registers: of two bad operands, that one is reported
-        if kinds and (kinds[-1] in ("mem", "upper")
-                      or isa.ENCODINGS[real][0] == "B"):
-            written.insert(0, written.pop())
+            _fail(f"{mnem} takes {len(kinds)} operand(s)", head)
         fields = dict(fields)
-        for kind, text in written:
-            fields.update(self._operand(kind, text, real, pc, ln, col))
-        return self._enc(real, ln, col, **fields).to_bytes(4, "little")
+        imm_from = head  # the operand an encoder range error is about
+        for kind, token in zip(kinds, ops):
+            written = self._operand(kind, token, real, pc)
+            if "imm" in written:
+                imm_from = token
+            fields.update(written)
+        try:
+            return isa.encode(real, **fields).to_bytes(4, "little")
+        except ValueError as e:
+            _fail(str(e), imm_from)
 
-    def _li(self, rd_text: str, imm_text: str, ln: int, col: int) -> bytes:
+    def _li(self, rd_token: _Token, imm_token: _Token) -> bytes:
         """`li rd, imm` is always lui + addi, whatever the value."""
 
-        rd = self._reg(rd_text, ln, col)
-        value = self._eval(imm_text, ln, col)
-        if not -(1 << 31) <= value < (1 << 32):
-            self._err(f"li immediate out of range: {value}", ln, col)
-        value &= 0xFFFFFFFF
+        rd = _reg(rd_token)
+        value = int.from_bytes(self._data(imm_token, 4, "li immediate"),
+                               "little")
         lo = value & 0xFFF
         if lo >= 0x800:
             lo -= 0x1000
@@ -373,48 +389,27 @@ class Assembler:
         addi = isa.encode("addi", rd=rd, rs1=rd, imm=lo)
         return (lui | addi << 32).to_bytes(8, "little")
 
-    def _word(self, text: str, ln: int, col: int) -> bytes:
-        val = self._eval(text, ln, col)
-        if not -(1 << 31) <= val < (1 << 32):
-            self._err(f"word value out of range: {val}", ln, col)
-        return (val & 0xFFFFFFFF).to_bytes(4, "little")
+    def _data(self, token: _Token, size: int, what: str) -> bytes:
+        """`size` little-endian bytes of a value, signed or unsigned."""
 
-    def _byte(self, text: str, ln: int, col: int) -> bytes:
-        val = self._eval(text, ln, col)
-        if not -128 <= val <= 255:
-            self._err(f".byte value out of range: {val}", ln, col)
-        return bytes([val & 0xFF])
-
-    def _enc(self, mnem: str, ln: int, col: int, **kw) -> int:
-        try:
-            return isa.encode(mnem, **kw)
-        except ValueError as e:
-            self._err(str(e), ln, col)
-
-    def _emit(self, addr: int, data: bytes, ln: int, col: int):
-        for i, b in enumerate(data):
-            if addr + i in self.memory:
-                self._err(f"overlapping emission at 0x{addr + i:x}", ln, col)
-            self.memory[addr + i] = b
+        val = self._eval(token)
+        if not -(1 << 8 * size - 1) <= val < 1 << 8 * size:
+            _fail(f"{what} out of range: {val}", token)
+        return (val % (1 << 8 * size)).to_bytes(size, "little")
 
     def encode_all(self) -> Program:
-        for addr, ln, col, produce in self.items:
-            self._emit(addr, produce(), ln, col)
+        for addr, head, produce in self.items:
+            for i, b in enumerate(produce()):
+                if addr + i in self.memory:
+                    _fail(f"overlapping emission at 0x{addr + i:x}", head)
+                self.memory[addr + i] = b
 
-        segments = []
         addrs = sorted(self.memory)
-        if addrs:
-            start = prev = addrs[0]
-            buf = bytearray([self.memory[start]])
-            for a in addrs[1:]:
-                if a == prev + 1 and a not in self.seg_starts:
-                    buf.append(self.memory[a])
-                else:
-                    segments.append(Segment(start, bytes(buf)))
-                    start = a
-                    buf = bytearray([self.memory[a]])
-                prev = a
-            segments.append(Segment(start, bytes(buf)))
+        # a segment starts after a gap and at every .org address
+        starts = [i for i, a in enumerate(addrs)
+                  if not i or a != addrs[i - 1] + 1 or a in self.seg_starts]
+        segments = [Segment(addrs[i], bytes(map(self.memory.get, addrs[i:j])))
+                    for i, j in zip(starts, starts[1:] + [len(addrs)])]
         entry = self.entry if self.entry is not None else (addrs[0] if addrs else 0)
         return Program(entry=entry, segments=segments, symbols=dict(self.symbols))
 

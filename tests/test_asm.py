@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -104,19 +105,53 @@ def test_org_splits_segments():
 
 def test_errors_carry_source_spans():
     cases = [
-        ("addi x1, x1, 99999\n", "out of range"),
-        ("frobnicate x1\n", "unknown mnemonic"),
-        ("a: nop\na: nop\n", "duplicate label"),
-        ("beq x1, x2, nowhere\n", "unresolved symbol"),
-        ("lw x1, 0(x99)\n", "bad register"),
-        (".org 1\nnop\n", "unaligned"),
-        ("nop\n.org 0\nnop\n", "overlapping"),
+        # an operand's diagnostic points at that operand, or at the
+        # register or symbol inside it that it names
+        ("addi x1, x1, 99999\n", "out of range", (1, 14, 5)),
+        ("beq x1, x2, nowhere\n", "unresolved symbol", (1, 13, 7)),
+        ("  lw x1, 0(x99)\n", "bad register", (1, 12, 3)),
+        # a comma inside parentheses does not split operands
+        ("lw x1, 0(x2, x3)\n", "expected imm(reg)", (1, 8, 9)),
+        ("sw x1, nowhere+4(x2)\n", "unresolved symbol", (1, 8, 7)),
+        ("j done - 4\n", "unresolved symbol", (1, 3, 4)),
+        (".equ n, 1\n.equ n, 2\n", "duplicate symbol", (2, 6, 1)),
+        # a statement's diagnostic points at its head
+        ("frobnicate x1\n", "unknown mnemonic", (1, 1, 10)),
+        ("nop: nop x1\n", "takes 0 operand(s)", (1, 6, 3)),
+        (".org 1\nnop\n", "unaligned", (2, 1, 3)),
+        ("nop\n.org 0\n  nop\n", "overlapping", (3, 3, 3)),
+        # of several bad operands, the leftmost is reported
+        ("jal x40, nowhere\n", "bad register 'x40'", (1, 5, 3)),
+        ("beq x40, x41, nowhere\n", "bad register 'x40'", (1, 5, 3)),
+        ("lui x40, 0x100000\n", "bad register 'x40'", (1, 5, 3)),
+        ("sw x40, y(x41)\n", "bad register 'x40'", (1, 4, 3)),
+        ("lw x1, y(x41)\n", "unresolved symbol 'y'", (1, 8, 1)),
+        ("li x40, 0x100000000\n", "bad register 'x40'", (1, 4, 3)),
+        # a duplicate label points at itself
+        ("a: nop\na: nop\n", "duplicate label", (2, 1, 1)),
+        ("a: b: a: nop\n", "duplicate label", (1, 7, 1)),
     ]
-    for src, fragment in cases:
+    for src, fragment, span in cases:
         with pytest.raises(asm.AsmError) as err:
             asm.assemble(src)
         assert fragment in str(err.value), src
-        assert err.value.span.line >= 1
+        assert err.value.span == asm.SourceSpan(*span), src
+
+
+def test_any_whitespace_separates_the_head_from_its_operands():
+    for tabbed, spaced in (("addi\tx1, x1, 1", "addi x1, x1, 1"),
+                           ("\tlw\tx1,\t0(x2)", "lw x1, 0(x2)"),
+                           (".word\t1", ".word 1")):
+        got, want = asm.assemble(tabbed + "\n"), asm.assemble(spaced + "\n")
+        assert [(s.base, s.data) for s in got.segments] == \
+               [(s.base, s.data) for s in want.segments]
+
+
+def test_a_hash_inside_a_string_is_not_a_comment():
+    for src, data in (('.ascii "x\\"#y"\n', b'x"#y'),
+                      ('.ascii "a#b"  # note\n', b"a#b"),
+                      ('.ascii "a, b(" # "c\n', b"a, b(")):
+        assert asm.assemble(src).segments[0].data == data
 
 
 def test_illegal_directive_emits_raw_word():
@@ -135,7 +170,9 @@ def test_word_values_are_range_checked(directive):
     for value in (-2147483649, 4294967296):
         with pytest.raises(asm.AsmError, match="out of range") as err:
             asm.assemble(f"nop\n  {directive} {value}\n")
-        assert (err.value.span.line, err.value.span.column) == (2, 3)
+        # the value's own column: two spaces, the directive, one space
+        assert err.value.span == asm.SourceSpan(2, 4 + len(directive),
+                                                len(str(value)))
 
 
 def test_disassemble_reassemble_identity():
@@ -255,12 +292,14 @@ BAD_SOURCES = [
     "addi x1, x40, nowhere\n",
 ]
 
-FRONT_END_DIGEST = \
-    "a7ec61bd9df429d6dc55ae4b8cd3555611b3bb8d57b794903777c7477c16daf8"
+IMAGE_DIGEST = \
+    "8549a15ffd4e44dd41a8aa841f200805304403cd150af8bcbc088a294cee10d3"
+DIAGNOSTICS_DIGEST = \
+    "2512336f749ebd3623a61ef8e55e519500c5339b8c864da3d45030d2a218f559"
 
 
 def test_front_end_digest_is_frozen():
-    # pins assembled images, assembler diagnostics and disassembly text
+    # pins assembled images and disassembly text
     digest = hashlib.sha256()
     sources = [workload_source(name) for name in workload_names()]
     sources += [random_source(seed) for seed in range(100)]
@@ -271,10 +310,6 @@ def test_front_end_digest_is_frozen():
         digest.update(repr((prog.entry,
                             [(s.base, s.data.hex()) for s in prog.segments],
                             sorted(prog.symbols.items()))).encode())
-    for src in BAD_SOURCES:
-        with pytest.raises(asm.AsmError) as err:
-            asm.assemble(src)
-        digest.update(repr((str(err.value), err.value.span)).encode())
     rng = random.Random(7)
     opcodes = sorted({op for _fmt, op, _f3, _f7 in isa.ENCODINGS.values()})
     for i in range(50_000):
@@ -282,7 +317,30 @@ def test_front_end_digest_is_frozen():
         if i % 2:  # half the words carry a supported opcode
             word = word & ~0x7F | rng.choice(opcodes)
         digest.update(isa.disassemble(word).encode() + b"\n")
-    assert digest.hexdigest() == FRONT_END_DIGEST
+    assert digest.hexdigest() == IMAGE_DIGEST
+
+
+def test_diagnostics_digest_is_frozen():
+    # pins the message and span of every assembler diagnostic in BAD_SOURCES
+    digest = hashlib.sha256()
+    for src in BAD_SOURCES:
+        with pytest.raises(asm.AsmError) as err:
+            asm.assemble(src)
+        digest.update(repr((str(err.value), err.value.span)).encode())
+    assert digest.hexdigest() == DIAGNOSTICS_DIGEST
+
+
+@pytest.mark.parametrize("src", BAD_SOURCES)
+def test_a_quoted_token_is_the_text_its_span_covers(src):
+    with pytest.raises(asm.AsmError) as err:
+        asm.assemble(src)
+    span = err.value.span
+    text = src.splitlines()[span.line - 1]
+    covered = text[span.column - 1:span.column - 1 + span.length]
+    assert covered.strip() == covered != ""
+    quoted = re.search(r"'(.*)'", err.value.message)
+    if quoted:
+        assert covered == quoted.group(1)
 
 
 @pytest.mark.parametrize("src, line", [
@@ -293,9 +351,12 @@ def test_front_end_digest_is_frozen():
     (".org 0xFFFFFFFC\nli x5, 1\n", 2),
 ])
 def test_addresses_outside_the_32_bit_space_are_rejected(src, line):
+    # a bad .org value (line 1) is the operand's error, at its column; a
+    # statement running off the end is the statement's, at its head
+    column = 6 if line == 1 else 1
     with pytest.raises(asm.AsmError) as err:
         asm.assemble(src)
-    assert (err.value.span.line, err.value.span.column) == (line, 1)
+    assert (err.value.span.line, err.value.span.column) == (line, column)
 
 
 def test_the_top_of_the_address_space_runs_in_lockstep():

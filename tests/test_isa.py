@@ -223,4 +223,4 @@ def test_fence_immediates_are_range_checked():
     with pytest.raises(asm.AsmError) as err:
         asm.assemble("nop\n  fence 0x1000\n")
     assert err.value.message == "fence immediate out of range: 4096"
-    assert (err.value.span.line, err.value.span.column) == (2, 3)
+    assert err.value.span == asm.SourceSpan(2, 9, 6)  # the immediate
