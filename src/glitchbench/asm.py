@@ -43,8 +43,9 @@ ADDRESS_SPACE = 1 << 32  # every address is below this
 
 _SYMBOL = r"[A-Za-z_.$][A-Za-z0-9_.$]*"  # a label or .equ name
 _LABEL_RE = re.compile(rf"^{_SYMBOL}$")
-# a string runs to its unescaped closing quote, or to the end of the line
-_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"?'
+# a string runs to its first unescaped quote, or to the end of the line
+_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_STRING = rf'"{_BODY}"?'
 # the labels, the head and the operands; whitespace ends the head and '#'
 # the operands, both outside a string
 _LINE_RE = re.compile(rf'((?:\s*{_SYMBOL}\s*:)*)'
@@ -54,7 +55,8 @@ _LABEL_DEF_RE = re.compile(rf"({_SYMBOL})\s*:")
 _NESTING_RE = re.compile(rf"{_STRING}|[(),]")
 _OFFSET_RE = re.compile(rf"^({_SYMBOL})\s*([+-])\s*(\S+)$")
 _MEM_RE = re.compile(r"^(.*?)\s*\(\s*([A-Za-z0-9]+)\s*\)$")
-_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, '"': 34}
+_QUOTED_RE = re.compile(rf'"({_BODY})"')  # a closed string
+_ESCAPES = {"n": "\n", "t": "\t", "0": "\0"}  # any other stands for itself
 # data directive -> (bytes per value, what an out-of-range value is called)
 _DATA = {".word": (4, "word value"), ".byte": (1, ".byte value")}
 
@@ -198,19 +200,20 @@ _PSEUDO = {
 
 
 def _parse_string(token: _Token) -> bytes:
-    text = token.text
-    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
+    m = _QUOTED_RE.match(token.text)
+    if m is None:
         _fail(".ascii needs a double-quoted string", token)
-    out, chars = bytearray(), iter(text[1:-1])
-    for ch in chars:
-        if ch == "\\":
-            ch = next(chars, None)
-            if ch is None:
-                _fail("dangling escape in string", token)
-            out.append(_ESCAPES.get(ch, ord(ch)))
-        else:
-            out.append(ord(ch))
-    return bytes(out)
+    after = token.text[m.end():].lstrip()
+    if after:
+        col = token.col + len(token.text) - len(after)
+        _fail(f"unexpected '{after}' after the string",
+              _Token(after, token.line, col))
+    text = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), m[1])
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError as e:
+        _fail(f"character U+{ord(text[e.start]):04X} does not fit in a byte",
+              token)
 
 
 def _need_aligned(loc: int, head: _Token):

@@ -329,7 +329,7 @@ def _simulate_cycles(plan: CampaignPlan, golden: RunSummary,
     baseline = Pipeline(plan.program, timing=plan.timing)
     records = []
     for cycle in sorted(cycles):
-        while baseline.cycle < cycle and not baseline.arch.halted:
+        while baseline.cycle < cycle and baseline.arch.halt_cause is None:
             baseline.clock()
         base_pcs = tuple(e.pc for e in baseline.retires)
         # continuations by post-glitch state key; the hang budget is an

@@ -33,24 +33,25 @@ class ArchState:
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     mem: dict[int, int] = field(default_factory=dict)  # word addr -> u32
     output_log: list[int] = field(default_factory=list)
-    halted: bool = False
-    halt_cause: str | None = None
+    halt_cause: str | None = None  # None while running
     exit_code: int | None = None
     unmapped_reads: int = 0
     strict: bool = False
 
+    @property
+    def halted(self) -> bool:
+        return self.halt_cause is not None
+
     def copy(self) -> "ArchState":
-        c = ArchState(pc=self.pc, regs=list(self.regs), mem=dict(self.mem),
-                      output_log=list(self.output_log), halted=self.halted,
-                      halt_cause=self.halt_cause, exit_code=self.exit_code,
-                      unmapped_reads=self.unmapped_reads, strict=self.strict)
-        return c
+        return ArchState(pc=self.pc, regs=list(self.regs),
+                         mem=dict(self.mem), output_log=list(self.output_log),
+                         halt_cause=self.halt_cause, exit_code=self.exit_code,
+                         unmapped_reads=self.unmapped_reads, strict=self.strict)
 
     def same_arch(self, other: "ArchState") -> bool:
         """Architectural equality: registers, memory, pc, halt state, output."""
 
         return (self.regs == other.regs and self.pc == other.pc
-                and self.halted == other.halted
                 and self.halt_cause == other.halt_cause
                 and self.exit_code == other.exit_code
                 and self.output_log == other.output_log
@@ -240,7 +241,6 @@ def store_effect(state: ArchState, mnemonic: str, addr: int, value: int):
 
 def _trap(state: ArchState, pc: int, cause: str, raw: int = 0,
           mnem: str = "") -> StepEvent:
-    state.halted = True
     state.halt_cause = cause
     return StepEvent(pc, pc, raw, mnem, halt=cause)
 
@@ -296,7 +296,6 @@ def step(state: ArchState) -> StepEvent:
         if cause:
             return _trap(state, pc, cause, word, m)
         if halt_info:
-            state.halted = True
             state.halt_cause, state.exit_code = halt_info
             halt = halt_info[0]
     elif cls is isa.IClass.MULDIV:
@@ -304,7 +303,6 @@ def step(state: ArchState) -> StepEvent:
     elif cls is isa.IClass.UPPER:
         res = (pc + d.imm if m == "auipc" else d.imm) & 0xFFFFFFFF
     elif m in ("ebreak", "ecall"):  # SYSTEM; fence has no effect
-        state.halted = True
         halt = state.halt_cause = m.upper()
         state.exit_code = 0
 
@@ -334,6 +332,6 @@ def run_golden(program: Program, max_steps: int = MAX_CYCLES,
     events: list[StepEvent] = []
     for _ in range(max_steps):
         events.append(step(state))
-        if state.halted:
+        if state.halt_cause is not None:
             return GoldenRun(state, events, "HALTED")
     return GoldenRun(state, events, "NOT_HALTED")

@@ -139,14 +139,9 @@ _EX_BUSY_CAPTURES = {"IF_ID": _HELD, "ID_EX": _HELD, "EX_WB": (True, None)}
 class SlotMeta(NamedTuple):
     """Metadata that travels with a latch slot, as an immutable value.
 
-    `pc`, `next_pc`, `trap_cause`, `fault_cause` and `halt` are semantic:
-    they decide what a slot retires as, whether it traps and whether the
-    machine halts. `word_corrupted` decides NOP-replacement events, and
-    `mem_write`/`output` feed the retire log. `dyn_id`, `raw`, `mnemonic`
-    and `iclass_name` only label traces, retire records and glitch
-    captures. `Pipeline.state_key` holds the fields that count.
-    Every valid slot carries one. On the clean path each stage builds the
-    next positionally; the trap-carrier and squash paths use `_replace`.
+    Every valid slot carries one. Only EX writes the fields from
+    `trap_cause` to `halt`, so IF_ID and ID_EX metas hold their defaults.
+    `Pipeline.state_key` states which fields a continuation reads.
     """
 
     dyn_id: int
@@ -261,12 +256,22 @@ class Pipeline:
     def state_key(self) -> tuple:
         """Hashable summary of everything a glitch-free continuation reads.
 
-        Two pipelines at one cycle with equal keys retire the same pcs,
-        raise the same mechanisms and end in the same architectural state.
-        Left out on purpose: the previous latches and the capture profile
-        (read only by a glitch), dynamic ids, and the raw word, mnemonic and
-        class of each slot (read only by traces, retire records and glitch
-        captures). A dead slot keys as None: only a glitch could revive it.
+        Pipelines forked from one `Pipeline` with equal keys retire the
+        same pcs with the same effects, raise the same mechanisms and end
+        in the same architectural state; at different cycles, up to the
+        shift between them (`cycle` is read only by the run budget, event
+        labels and the glitch-cycle check). Keyed: each valid latch value
+        with the meta fields of `_slot_key`, fetch pc and stop, the cycles
+        left in EX, the illegal-word policy, and pc, registers, memory
+        (exact items: an absent word and a zero word differ for fetches and
+        strict loads), output log and halt cause. Left out: what only a
+        glitch reads (the previous latches, the capture profile); labels
+        (dynamic ids, each slot's raw word, mnemonic and class); a dead
+        slot, which only a glitch revives; and what is keyed implies, at
+        any cycle: `halted` (`halt_cause is not None`), `exit_code` (set
+        only by the halting retire, whose slot a halted pipeline keeps in
+        EX_WB with its keyed `halt`), `strict` and `timing` (fixed at
+        construction, copied by every fork).
         """
 
         a = self.arch
@@ -274,13 +279,8 @@ class Pipeline:
                 _slot_key(self.id_ex, self.id_ex_meta),
                 _slot_key(self.ex_wb, self.ex_wb_meta),
                 self.fetch_pc, self.fetch_stopped, self.ex_remaining,
-                self.illegal_policy,
-                a.pc, tuple(a.regs),
-                # exact items: an absent word and a zero word differ for
-                # fetches and for strict loads
-                frozenset(a.mem.items()),
-                tuple(a.output_log), a.halted, a.halt_cause, a.exit_code,
-                a.strict)
+                self.illegal_policy, a.pc, tuple(a.regs),
+                frozenset(a.mem.items()), tuple(a.output_log), a.halt_cause)
 
     def run(self, max_cycles: int) -> None:
         while self.cycle < max_cycles and self.clock():
@@ -296,12 +296,12 @@ class Pipeline:
     def clock(self) -> bool:
         """Advance one cycle; False once the machine has halted."""
 
-        if self.arch.halted:
+        if self.arch.halt_cause is not None:
             return False
         cyc = self.cycle
         # WB first: its register write is visible to ID in the same cycle
         self._writeback()
-        if self.arch.halted:
+        if self.arch.halt_cause is not None:
             self.cycle = cyc + 1
             return False
 
@@ -376,11 +376,9 @@ class Pipeline:
         self.retires.append(StepEvent(pc, next_pc, raw, mnemonic, reg_write,
                                       mem_write, output, halt_cause))
         arch.pc = next_pc
-        if halt_cause:
-            arch.halted = True
-            arch.halt_cause = halt_cause
-            if halt:
-                arch.exit_code = halt[1]
+        arch.halt_cause = halt_cause  # None unless this slot halts
+        if halt:
+            arch.exit_code = halt[1]
 
     def _execute(self):
         """Returns (completed, ex_wb_next, ex_wb_meta, forward, redirect,
@@ -471,11 +469,11 @@ class Pipeline:
         if trap:
             rd = 0  # a trap slot writes nothing and retires at its own pc
             next_pc = pc
-        (dyn_id, _, raw, mnemonic, iclass, fault_cause, trap_cause,
-         _, _, _, _, word_corrupted) = meta
+        (dyn_id, _, raw, mnemonic, iclass, fault_cause,
+         _, _, _, _, _, word_corrupted) = meta
         out_meta = SlotMeta(dyn_id, pc, raw, mnemonic, iclass, fault_cause,
-                            trap or trap_cause, next_pc, mem_write, output,
-                            halt, word_corrupted)
+                            trap, next_pc, mem_write, output, halt,
+                            word_corrupted)
         slot = ExWb(result, rd, is_load, mem_data, 1)
         forward = (rd, result) if rd and not is_load else None
         return (True, slot, out_meta, forward, redirect,
@@ -532,11 +530,9 @@ class Pipeline:
             if use_rs2 and rs2 == frd:
                 v2 = value
         slot = IdEx(control, v1, v2, imm, rd, pc, 1)
-        (dyn_id, _, _, _, _, fault_cause, trap_cause, next_pc, mem_write,
-         output, halt, word_corrupted) = meta
-        out = SlotMeta(dyn_id, pc, word, mnemonic, iclass, fault_cause,
-                       trap_cause, next_pc, mem_write, output, halt,
-                       word_corrupted)
+        # a decoded slot has no fault cause; EX fills in the rest
+        out = SlotMeta(meta.dyn_id, pc, word, mnemonic, iclass,
+                       word_corrupted=meta.word_corrupted)
         return slot, out, iclass, False
 
     def _fetch_slot(self):
@@ -562,7 +558,7 @@ class Pipeline:
         if spec.cycle < 0:
             raise ValueError(f"glitch cycle must be at least 0, "
                              f"got {spec.cycle}")
-        if self.arch.halted or spec.cycle != self.cycle:
+        if self.arch.halt_cause is not None or spec.cycle != self.cycle:
             raise ValueError(f"cannot glitch cycle {spec.cycle}: the pipeline "
                              f"is {'halted' if self.arch.halted else 'running'}"
                              f" at cycle {self.cycle}")

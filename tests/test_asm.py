@@ -8,6 +8,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glitchbench import asm, isa
 from glitchbench.machine import run_golden
@@ -152,6 +153,36 @@ def test_a_hash_inside_a_string_is_not_a_comment():
                       ('.ascii "a#b"  # note\n', b"a#b"),
                       ('.ascii "a, b(" # "c\n', b"a, b(")):
         assert asm.assemble(src).segments[0].data == data
+
+
+def test_a_string_ends_at_its_first_unescaped_quote():
+    with pytest.raises(asm.AsmError,
+                       match="unexpected 'b\"' after the string") as err:
+        asm.assemble('.ascii "a"b"\n')
+    assert err.value.span == asm.SourceSpan(1, 11, 2)
+    assert asm.assemble('.ascii "a\\"b"\n').segments[0].data == b'a"b'
+
+
+def test_a_character_wider_than_a_byte_is_an_asm_error():
+    # the literal euro sign; in the source text, \u is no escape
+    with pytest.raises(asm.AsmError,
+                       match=r"character U\+20AC does not fit in a byte"
+                       ) as err:
+        asm.assemble('nop\n.ascii "€"\n')
+    assert err.value.span == asm.SourceSpan(2, 8, 3)
+    assert asm.assemble('.ascii "\\u20ac"\n').segments[0].data == b"u20ac"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='"\\#,() \taé€😀', max_size=12))
+def test_an_ascii_operand_assembles_or_is_an_error_within_its_line(text):
+    line = ".ascii " + text
+    try:
+        asm.assemble(line + "\n")
+    except asm.AsmError as err:
+        span = err.span
+        assert span.line == 1 and span.length > 0, span
+        assert 1 <= span.column <= span.column - 1 + span.length <= len(line)
 
 
 def test_illegal_directive_emits_raw_word():

@@ -55,6 +55,14 @@ def test_asm_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_asm_reports_a_wide_character_at_its_string(tmp_path, capsys):
+    bad = tmp_path / "wide.s"
+    bad.write_text('nop\n.ascii "€"\n')
+    assert run_cli("asm", str(bad)) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 2, col 8: character U+20AC does not fit in a byte\n")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli("frobnicate") == 1
     assert run_cli("inject", "--workload", "mb_load") == 1  # missing --cycle

@@ -368,9 +368,10 @@ SLOTS = ("if_id", "id_ex", "ex_wb", "prev_if_id", "prev_id_ex", "prev_ex_wb")
 
 @pytest.mark.parametrize("policy", list(CorruptionPolicy))
 def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
-    """Stages read a valid slot's meta without a fallback. Every point of
-    the default grid of every mb_* program, at the glitched edge and after
-    the glitched cycle."""
+    """Stages read a valid slot's meta without a fallback, and the fields
+    only EX writes hold their defaults in every IF_ID and ID_EX meta.
+    Every point of the default grid of every mb_* program, at the glitched
+    edge and after the glitched cycle."""
 
     kinds = set()
     for name in MB_NAMES:
@@ -384,9 +385,15 @@ def test_every_valid_slot_carries_a_meta_after_a_glitch(policy):
                         f.clock()
                     kinds |= {m.kind for m in f.mechanisms}
                     for slot in SLOTS:
+                        meta = getattr(f, slot + "_meta")
+                        where = (name, cycle, k, at, slot)
                         assert not getattr(f, slot).valid or isinstance(
-                            getattr(f, slot + "_meta"), SlotMeta), \
-                            (name, cycle, k, at, slot)
+                            meta, SlotMeta), where
+                        if meta is not None and not slot.endswith("ex_wb"):
+                            assert (meta.trap_cause, meta.next_pc,
+                                    meta.mem_write, meta.output,
+                                    meta.halt) == (None, 0, None, None,
+                                                   None), where
             base.clock()
     # stale policies revive slots from the previous slot's meta
     assert ("GHOST_INSTRUCTION" in kinds) == \
